@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-build lint lint-json test test-short race bench bench-compare loadtest loadtest-compare loadtest-sharded loadtest-trace loadtest-health healthcheck profile cover experiments figure5 figure6 table1 theorem2 fmt
+.PHONY: all build vet vet-build lint lint-json test test-short race bench bench-compare loadtest loadtest-compare loadtest-wal loadtest-trace loadtest-health healthcheck profile cover experiments figure5 figure6 table1 theorem2 fmt
 
 all: build vet lint test
 
@@ -84,7 +84,6 @@ bench-compare: bench
 # (the batch endpoint's measured advantage grows with cores and ops).
 LOAD_OPS ?= 10000
 LOAD_MINSPEEDUP ?= 3
-LOAD_SEGMENTS ?= 4
 loadtest:
 	$(GO) run ./cmd/cubefit-load -ops $(LOAD_OPS) -minspeedup $(LOAD_MINSPEEDUP) -o LOAD_pr10.json
 
@@ -96,11 +95,12 @@ loadtest:
 loadtest-compare: loadtest
 	$(GO) run ./cmd/cubefit-bench -compare LOAD_baseline.json LOAD_pr10.json -threshold $(BENCH_THRESHOLD)
 
-# Same harness against a sharded WAL on a temp file: group commits fsync
-# in parallel across LOAD_SEGMENTS segment files. Smoke for the
-# `-wal-segments` path end to end (admission + recovery-compatible log).
-loadtest-sharded:
-	$(GO) run ./cmd/cubefit-load -ops $(LOAD_OPS) -wal /tmp/cubefit-load-wal.jsonl -wal-segments $(LOAD_SEGMENTS) -o LOAD_sharded.json
+# Same harness with the write-ahead log on a temp file: every batch and
+# single admission is group-committed (flushed and fsynced) before its
+# ack, so this drives the durable commit path end to end.
+loadtest-wal:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/cubefit-load -ops $(LOAD_OPS) -wal "$$dir/wal.jsonl" -o LOAD_wal.json
 
 # Span-layer overhead gate: the same harness with admission tracing off
 # (baseline) and on, diffed. The acceptance bar is ≥95% of untraced

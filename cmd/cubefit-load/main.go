@@ -7,7 +7,7 @@
 // Usage:
 //
 //	cubefit-load [-mode both] [-workers 4] [-ops 30000] [-batch 64]
-//	             [-gamma 2] [-k 10] [-wal path] [-wal-segments 1] [-url http://host:8080]
+//	             [-gamma 2] [-k 10] [-wal path] [-url http://host:8080]
 //	             [-o report.json] [-minspeedup 0] [-trace=false] [-spans path] [-health=false]
 //
 // By default the harness is self-contained: it builds the same controller
@@ -86,20 +86,18 @@ func main() {
 }
 
 type config struct {
-	mode        string
-	workers     int
-	ops         int
-	batch       int
-	gamma, k    int
-	wal         string
-	walSegments int
-	reference   bool
-	url         string
-	out         string
-	minSpeedup  float64
-	trace       bool
-	spans       string
-	health      bool
+	mode       string
+	workers    int
+	ops        int
+	batch      int
+	gamma, k   int
+	wal        string
+	url        string
+	out        string
+	minSpeedup float64
+	trace      bool
+	spans      string
+	health     bool
 	// spanSink is shared across modes so -spans captures one contiguous
 	// log per invocation.
 	spanSink *obs.SpanJSONL
@@ -154,8 +152,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	fs.IntVar(&cfg.gamma, "gamma", 2, "replicas per tenant")
 	fs.IntVar(&cfg.k, "k", 10, "CubeFit classes")
 	fs.StringVar(&cfg.wal, "wal", "", "write-ahead log path for the in-process controller (measures the durable path)")
-	fs.IntVar(&cfg.walSegments, "wal-segments", 1, "shard the in-process controller's WAL over this many segments (parallel group commits); 1 keeps the single file")
-	fs.BoolVar(&cfg.reference, "reference", false, "run the engine's reference reserve path (no incremental cache) for apples-to-apples fast-path comparisons")
 	fs.StringVar(&cfg.url, "url", "", "drive a live server at this base URL instead of in process")
 	fs.StringVar(&cfg.out, "o", "", "write a cubefit-bench JSON report here")
 	fs.Float64Var(&cfg.minSpeedup, "minspeedup", 0, "fail unless batch is at least this many times faster per tenant (mode both)")
@@ -181,12 +177,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 	if cfg.spans != "" && !cfg.trace {
 		return errors.New("-spans requires tracing (-trace)")
-	}
-	if cfg.walSegments < 1 {
-		return errors.New("-wal-segments must be at least 1")
-	}
-	if cfg.walSegments > 1 && cfg.wal == "" {
-		return errors.New("-wal-segments requires -wal")
 	}
 	if cfg.spans != "" {
 		f, err := os.Create(cfg.spans)
@@ -278,25 +268,17 @@ type selfhosted struct {
 }
 
 func newSelfhosted(cfg config) (*selfhosted, error) {
-	cf, err := core.New(core.Config{Gamma: cfg.gamma, K: cfg.k, ReferenceReserve: cfg.reference})
+	cf, err := core.New(core.Config{Gamma: cfg.gamma, K: cfg.k})
 	if err != nil {
 		return nil, err
 	}
 	var opts []api.Option
 	if cfg.wal != "" {
-		if cfg.walSegments > 1 {
-			sw, err := obs.OpenShardedWAL(cfg.wal, cfg.walSegments, 1)
-			if err != nil {
-				return nil, err
-			}
-			opts = append(opts, api.WithWAL(sw))
-		} else {
-			w, err := obs.OpenWAL(cfg.wal)
-			if err != nil {
-				return nil, err
-			}
-			opts = append(opts, api.WithWAL(w))
+		w, err := obs.OpenWAL(cfg.wal)
+		if err != nil {
+			return nil, err
 		}
+		opts = append(opts, api.WithWAL(w))
 	}
 	if !cfg.trace {
 		opts = append(opts, api.WithoutSpanTracing())

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	cubefit-server [-addr :8080] [-gamma 2] [-k 10] [-redline 0.05] [-wal path] [-wal-segments 1]
+//	cubefit-server [-addr :8080] [-gamma 2] [-k 10] [-redline 0.05] [-wal path]
 //	               [-trace] [-spans path] [-slo-latency-p99 100ms] [-health-interval 1s]
 //	               [-health-log path] [-pprof] [-drain 10s]
 //
@@ -64,24 +64,23 @@
 // -health-log streams every tick's samples and every state transition as
 // JSONL for offline replay with `cubefit-inspect health`.
 //
-// Durability: with -wal the decision stream doubles as a write-ahead log.
-// At boot the server replays the log into a fresh engine, cross-checks the
-// rebuilt placement against an independent event-level replay and the
-// robustness validator, and refuses to serve from a log that does not
-// replay cleanly. Admissions and departures are group-committed (flushed
-// and fsynced) to the log before they are acked; if the log cannot commit,
-// mutations fail closed with 503. With -wal-segments N (N ≥ 2) the log is
-// sharded over N append-only segment files (<path>.seg0 … segN-1): each
-// coalesced admission batch is sealed into one segment under a monotone
-// commit-sequence record and fsynced on a background goroutine, so
-// independent batches commit in parallel while acks are still released
-// strictly in seal order; recovery merge-replays the segments in
-// commit-sequence order and stops at the first gap, truncating each
-// segment back to its recovered prefix. On SIGINT/SIGTERM the server marks
-// itself draining (GET /readyz flips to 503 so load balancers stop
-// routing new traffic), stops accepting new connections, drains
-// in-flight requests for up to -drain, then drains the admission
-// pipeline and performs the WAL's final commit before exiting.
+// Durability: with -wal the decision stream doubles as a write-ahead log,
+// one append-only file written through one commit path. At boot the
+// server replays the log into a fresh engine (recovery.FromFile),
+// cross-checks the rebuilt placement against an independent event-level
+// replay and the robustness validator, truncates the uncommitted suffix,
+// and refuses to serve from a log that does not replay cleanly. It also
+// refuses to boot while segment files of the retired sharded log format
+// (<path>.seg0, <path>.seg1, …) sit beside the log: their history would
+// otherwise be silently ignored. Each coalesced admission batch and each
+// departure is group-committed (flushed and fsynced) to the log before it
+// is acked; if the log cannot commit, mutations fail closed with 503.
+//
+// On SIGINT/SIGTERM the server marks itself draining (GET /readyz flips
+// to 503 so load balancers stop routing new traffic), stops accepting new
+// connections, drains in-flight requests for up to -drain, then drains
+// the admission pipeline and performs the WAL's final commit before
+// exiting.
 package main
 
 import (
@@ -95,6 +94,8 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
@@ -217,12 +218,10 @@ func newServer(args []string) (*http.Server, options, error) {
 		drain     = fs.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 		redline   = fs.Float64("redline", headroom.DefaultRedLine,
 			"headroom red-line: slack below this counts a server in cubefit_headroom_below_redline")
-		walPath     = fs.String("wal", "", "write-ahead log path: replay at boot, group-commit admissions before ack")
-		walSegments = fs.Int("wal-segments", 1,
-			"shard the write-ahead log over this many segment files (<path>.seg0..segN-1) with parallel group commits; 1 keeps the single-file log")
-		trace  = fs.Bool("trace", true, "trace admission pipeline stages (/debug/pipeline, cubefit_pipeline_* metrics)")
-		spans  = fs.String("spans", "", "stream finished admission spans to this JSONL file (requires tracing)")
-		sloP99 = fs.Duration("slo-latency-p99", telemetry.DefaultObjective,
+		walPath = fs.String("wal", "", "write-ahead log path: replay at boot, group-commit admissions before ack")
+		trace   = fs.Bool("trace", true, "trace admission pipeline stages (/debug/pipeline, cubefit_pipeline_* metrics)")
+		spans   = fs.String("spans", "", "stream finished admission spans to this JSONL file (requires tracing)")
+		sloP99  = fs.Duration("slo-latency-p99", telemetry.DefaultObjective,
 			"admission latency objective: requests at or under it are \"good\" for the burn-rate rules")
 		healthInterval = fs.Duration("health-interval", telemetry.DefaultInterval,
 			"health sampling period (/healthz, /readyz, /debug/health, /debug/timeline)")
@@ -247,47 +246,10 @@ func newServer(args []string) (*http.Server, options, error) {
 		err      error
 		ctrlOpts []api.Option
 	)
-	if *walSegments < 1 {
-		return nil, options{}, fmt.Errorf("-wal-segments must be at least 1, got %d", *walSegments)
-	}
-	if *walSegments > 1 && *walPath == "" {
-		return nil, options{}, fmt.Errorf("-wal-segments requires -wal")
-	}
-	switch {
-	case *walPath != "" && *walSegments > 1:
-		var rstats recovery.Stats
-		var shard recovery.ShardRecovery
-		cf, rstats, shard, err = recovery.FromSegments(*walPath, *walSegments, opts.cfg)
-		if err != nil {
-			return nil, options{}, fmt.Errorf("wal recovery: %w", err)
+	if *walPath != "" {
+		if err := refuseSegmentFiles(*walPath); err != nil {
+			return nil, options{}, err
 		}
-		slog.Info("sharded wal recovered", "path", *walPath, "segments", *walSegments,
-			"events", rstats.Events, "admitted", rstats.Admitted,
-			"rejected", rstats.Rejected, "departed", rstats.Departed,
-			"dropped", rstats.Dropped, "droppedBatches", shard.DroppedBatches,
-			"torn", rstats.Torn, "nextSeq", shard.NextSeq,
-			"tenants", cf.Placement().NumTenants())
-		// Cut each segment back to its recovered prefix: uncommitted
-		// tails, torn records, and batches stranded past a commit-sequence
-		// gap were never acked, and fresh records must not append after
-		// them.
-		for i := 0; i < *walSegments; i++ {
-			segPath := obs.SegmentPath(*walPath, i)
-			if _, serr := os.Stat(segPath); errors.Is(serr, os.ErrNotExist) {
-				continue
-			}
-			if trimmed, terr := obs.TruncateWAL(segPath, shard.CommittedBytes[i]); terr != nil {
-				return nil, options{}, fmt.Errorf("wal truncate segment %d: %w", i, terr)
-			} else if trimmed > 0 {
-				slog.Info("wal uncommitted suffix truncated", "path", segPath, "bytes", trimmed)
-			}
-		}
-		swal, werr := obs.OpenShardedWAL(*walPath, *walSegments, shard.NextSeq)
-		if werr != nil {
-			return nil, options{}, fmt.Errorf("wal open: %w", werr)
-		}
-		ctrlOpts = append(ctrlOpts, api.WithWAL(swal))
-	case *walPath != "":
 		var rstats recovery.Stats
 		cf, rstats, err = recovery.FromFile(*walPath, opts.cfg)
 		if err != nil {
@@ -314,7 +276,7 @@ func newServer(args []string) (*http.Server, options, error) {
 			return nil, options{}, fmt.Errorf("wal open: %w", werr)
 		}
 		ctrlOpts = append(ctrlOpts, api.WithWAL(wal))
-	default:
+	} else {
 		cf, err = core.New(opts.cfg)
 		if err != nil {
 			return nil, options{}, err
@@ -375,6 +337,34 @@ func newServer(args []string) (*http.Server, options, error) {
 		WriteTimeout:      30 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}, opts, nil
+}
+
+// refuseSegmentFiles fails the boot when segment files of the retired
+// sharded log format (<path>.seg0, <path>.seg1, …) exist beside the log.
+// Recovery reads only the single file at path, so booting past them would
+// serve a fleet that silently lacks their acknowledged history. There is
+// no migration: the operator decides what happens to them.
+func refuseSegmentFiles(path string) error {
+	dir := filepath.Dir(path)
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	prefix := filepath.Base(path) + ".seg"
+	var segs []string
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), prefix) {
+			segs = append(segs, filepath.Join(dir, e.Name()))
+		}
+	}
+	if len(segs) > 0 {
+		return fmt.Errorf("wal: refusing to boot: sharded-log segment files %s sit beside %s, and only the single-file log is read",
+			strings.Join(segs, ", "), path)
+	}
+	return nil
 }
 
 // closeLogs closes whichever export files construction opened, so a

@@ -122,15 +122,6 @@ func TestRealTreeGuardedByAnnotationsPresent(t *testing.T) {
 		"cubefit/internal/obs.JSONL.err":         "mu",
 		"cubefit/internal/api.Controller.snap":   "mu",
 		"cubefit/internal/api.Controller.closed": "sendMu",
-		// The sharded log's staging state and the in-order acker.
-		"cubefit/internal/obs.ShardedWAL.cur":        "mu",
-		"cubefit/internal/obs.ShardedWAL.next":       "mu",
-		"cubefit/internal/obs.ShardedWAL.staged":     "mu",
-		"cubefit/internal/obs.ShardedWAL.err":        "mu",
-		"cubefit/internal/obs.ShardedWAL.closed":     "mu",
-		"cubefit/internal/api.Controller.ackNext":    "ackMu",
-		"cubefit/internal/api.Controller.ackPending": "ackMu",
-		"cubefit/internal/api.Controller.ackErr":     "ackMu",
 	}
 	for field, mu := range want {
 		if got[field] != mu {

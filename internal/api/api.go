@@ -21,12 +21,12 @@
 // event stream is group-committed — buffered, flushed, and synced once
 // per coalesced batch — before any admission in the batch is acked, and
 // internal/recovery rebuilds the exact acked state from the log on boot.
-// A log error fails the admission path closed (503) rather than acking
-// unlogged placements. With a sharded log (obs.ShardedWAL) the placer
-// instead seals each batch into a segment with a monotone commit-sequence
-// record and fsyncs it on a background goroutine, so independent batches
-// commit in parallel; an in-order acker still releases handlers strictly
-// in seal order, preserving the same recovery contract.
+// There is one commit path: the placer admits a coalesced batch under the
+// write lock and syncs the single log file before releasing any of its
+// handlers (placeJobs); a departure syncs the same file before its 204.
+// Because every mutation reaches the log in the order it reached the
+// engine, recovery replays one total order. A log error fails the
+// admission path closed (503) rather than acking unlogged placements.
 //
 // Observability: every route is instrumented with request counters (by
 // method and status class) and latency histograms, and admissions are
@@ -156,33 +156,6 @@ type Controller struct {
 	// group-committed by the placer before admissions are acked; a WAL
 	// error fails the admission path closed (see placeJobs).
 	wal obs.CommitLog
-	// swal is wal's sharded form, when it has one: the placer seals each
-	// coalesced batch into a WAL segment and commits it on a background
-	// goroutine, overlapping fsyncs across segments while the in-order
-	// acker releases handlers strictly in seal order (see pipeline.go).
-	swal *obs.ShardedWAL
-	// commitWG tracks in-flight background segment commits; the placer
-	// waits on it after draining the queue, so placerDone still means
-	// "every admission resolved".
-	commitWG sync.WaitGroup
-	// ackMu serializes batch finalization for the sharded commit path.
-	ackMu sync.Mutex
-	// ackSealed is the next seal-order index the placer assigns; only the
-	// placer goroutine touches it.
-	ackSealed uint64
-	// ackNext is the seal-order index of the next batch to release;
-	// completed batches park in ackPending until their turn, so acks never
-	// overtake an earlier batch whose fsync is still in flight.
-	//cubefit:guarded-by ackMu
-	ackNext uint64
-	//cubefit:guarded-by ackMu
-	ackPending map[uint64]*sealedBatch
-	// ackErr, once set, demotes every later batch to 503: a sealed batch
-	// is recoverable only if every earlier sealed batch is readable, so
-	// the first commit failure fails all successors (the log itself is
-	// also sticky-failed by then).
-	//cubefit:guarded-by ackMu
-	ackErr error
 	// Admission pipeline (see pipeline.go): queue feeds the single placer
 	// goroutine, sendMu+closed gate producers during shutdown, placerDone
 	// closes when the placer has drained.
@@ -202,11 +175,6 @@ type Option func(*Controller)
 // dropping events. Requires a recordable algorithm that also implements
 // Remover, so a failed commit can be rolled back. The controller takes
 // ownership: Close performs the final commit and closes the log.
-//
-// Attaching an *obs.ShardedWAL additionally enables the pipelined commit
-// path: the placer seals each coalesced batch into a segment and fsyncs
-// it on a background goroutine, so independent batches commit in
-// parallel while handlers are still released strictly in seal order.
 func WithWAL(w obs.CommitLog) Option {
 	return func(c *Controller) { c.wal = w }
 }
@@ -265,9 +233,6 @@ func NewController(alg packing.Algorithm, model workload.LoadModel, opts ...Opti
 		})
 	}
 	rec, canRecord := alg.(recordable)
-	if sw, ok := c.wal.(*obs.ShardedWAL); ok {
-		c.swal = sw
-	}
 	if c.wal != nil {
 		if !canRecord {
 			return nil, fmt.Errorf("api: %s does not record decision events; cannot attach a WAL", alg.Name())
@@ -579,16 +544,9 @@ func (c *Controller) handleRemoveTenant(w http.ResponseWriter, r *http.Request) 
 	// Captured before removal so a failed WAL commit can re-admit it.
 	t, _ := c.alg.Placement().Tenant(id)
 	err := rem.Remove(id)
-	var sealErr error
 	if err == nil {
 		c.snap = nil
 		c.refreshHeadroom()
-		if c.swal != nil {
-			// Seal under the write lock, so the commit record cannot land
-			// in the middle of a concurrently recording admission batch;
-			// the fsync below runs outside the lock.
-			_, sealErr = c.swal.Seal()
-		}
 	}
 	c.mu.Unlock()
 	if err != nil {
@@ -599,19 +557,9 @@ func (c *Controller) handleRemoveTenant(w http.ResponseWriter, r *http.Request) 
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
-	// Departures are durable before they are acked, like admissions. On a
-	// sharded log the depart's batch was sealed above; SyncAll fsyncs
-	// every segment, so the 204 also covers every earlier sealed batch.
+	// Departures are durable before they are acked, like admissions.
 	if c.wal != nil {
-		werr := sealErr
-		if werr == nil {
-			if c.swal != nil {
-				werr = c.swal.SyncAll()
-			} else {
-				werr = c.wal.Sync()
-			}
-		}
-		if werr != nil {
+		if werr := c.wal.Sync(); werr != nil {
 			// The depart event may not have reached stable storage, so the
 			// removal cannot be acked: re-admit the tenant and report 503,
 			// mirroring placeJobs' rollback, so reads keep serving the state

@@ -95,13 +95,10 @@ func (c *Controller) Close() error {
 }
 
 // runPlacer is the pipeline's single consumer: it owns the order in which
-// admissions reach the engine. With a sharded log, batches leave the
-// placer still pending their background segment commit; the placer then
-// waits for every in-flight commit before signalling placerDone, so the
-// channel still means "every admission resolved".
+// admissions reach the engine, and so the order in which they reach the
+// write-ahead log.
 func (c *Controller) runPlacer() {
 	defer close(c.placerDone)
-	defer c.commitWG.Wait()
 	jobs := make([]*admitJob, 0, 64)
 	for job := range c.queue {
 		jobs = append(jobs[:0], job)
@@ -121,12 +118,6 @@ func (c *Controller) runPlacer() {
 		}
 		if c.tracer != nil {
 			c.tracer.dequeued(jobs, len(c.queue))
-		}
-		if c.swal != nil {
-			// The sharded path acks through the in-order acker; the batch
-			// escapes this loop iteration, so it gets its own slice.
-			c.placeJobsSharded(append(make([]*admitJob, 0, len(jobs)), jobs...))
-			continue
 		}
 		c.placeJobs(jobs)
 		for _, j := range jobs {
@@ -245,106 +236,6 @@ func (c *Controller) placeJobs(jobs []*admitJob) {
 		// The batch's events may not have reached stable storage, so none
 		// of its admissions can be acked.
 		c.rollbackBatch(jobs, "write-ahead log sync failed: "+err.Error())
-	}
-}
-
-// sealedBatch is one coalesced batch sealed into a WAL segment and
-// awaiting finalization by the in-order acker.
-type sealedBatch struct {
-	jobs  []*admitJob
-	group int
-	// err is the batch's own commit outcome (nil until Commit returns).
-	err         error
-	commitID    uint64
-	commitStart int64
-}
-
-// placeJobsSharded is placeJobs for a sharded log: the batch is admitted
-// under the write lock and sealed into the current WAL segment (still
-// under the lock, so the segment batch holds exactly this batch's events
-// plus any earlier departures), but the fsync runs on a background
-// goroutine. The placer moves straight on to the next coalesced batch,
-// so commits of consecutive batches — sealed onto different segments —
-// overlap; handlers are released by ackSealedBatch strictly in seal
-// order, preserving the recovery contract that an acked admission and
-// everything before it are durable.
-func (c *Controller) placeJobsSharded(jobs []*admitJob) {
-	tr := c.tracer
-	c.mu.Lock()
-	group, mutated := c.admitItemsLocked(jobs)
-	if !mutated {
-		c.mu.Unlock()
-		// Nothing reached the engine (pre-rejected, conflicts, or log
-		// down): there is nothing to make durable, so ack immediately
-		// rather than queueing behind in-flight commits.
-		for _, j := range jobs {
-			close(j.done)
-		}
-		return
-	}
-	pc, err := c.swal.Seal()
-	c.mu.Unlock()
-	if err != nil {
-		// The commit record never reached the segment, so the batch cannot
-		// be delimited or recovered; the log is sticky-failed.
-		c.rollbackBatch(jobs, "write-ahead log seal failed: "+err.Error())
-		for _, j := range jobs {
-			close(j.done)
-		}
-		return
-	}
-	sb := &sealedBatch{jobs: jobs, group: group}
-	idx := c.ackSealed
-	c.ackSealed++
-	if tr != nil {
-		sb.commitID = tr.nextCommit()
-		sb.commitStart = tr.now()
-		stampCommitStart(jobs, sb.commitStart)
-	}
-	c.commitWG.Add(1)
-	go func() {
-		defer c.commitWG.Done()
-		sb.err = pc.Commit()
-		c.ackSealedBatch(idx, sb)
-	}()
-}
-
-// ackSealedBatch parks a completed commit under the acker and releases
-// every batch whose turn has come: batches finalize strictly in seal
-// order, so an admission is never acked while an earlier batch's fsync
-// is still in flight. Once any batch's commit fails, every later batch
-// is demoted too — its own fsync may have succeeded, but recovery
-// merge-replays commit sequences in order and stops at the first
-// unreadable one, so nothing after a failed commit is recoverable.
-func (c *Controller) ackSealedBatch(idx uint64, sb *sealedBatch) {
-	c.ackMu.Lock()
-	defer c.ackMu.Unlock()
-	if c.ackPending == nil {
-		c.ackPending = make(map[uint64]*sealedBatch)
-	}
-	c.ackPending[idx] = sb
-	for {
-		next, ok := c.ackPending[c.ackNext]
-		if !ok {
-			return
-		}
-		delete(c.ackPending, c.ackNext)
-		c.ackNext++
-		if next.err != nil && c.ackErr == nil {
-			c.ackErr = next.err
-		}
-		failed := next.err != nil || c.ackErr != nil
-		if failed {
-			c.rollbackBatch(next.jobs, "write-ahead log commit failed: "+c.ackErr.Error())
-		}
-		if tr := c.tracer; tr != nil {
-			commitEnd := tr.now()
-			stampCommitEnd(next.jobs, commitEnd, next.commitID, next.group)
-			tr.commitDone(next.commitID, next.group, commitEnd-next.commitStart, commitEnd, failed)
-		}
-		for _, j := range next.jobs {
-			close(j.done)
-		}
 	}
 }
 

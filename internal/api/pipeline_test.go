@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -236,14 +237,8 @@ func TestWALKillRestart(t *testing.T) {
 		map[string]any{"tenants": items}, &bresp); code != 200 || bresp.Failed != 0 {
 		t.Fatalf("batch: code %d failed %d", code, bresp.Failed)
 	}
-	req, _ := http.NewRequest("DELETE", srv.URL+"/v1/tenants/3", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("delete status %d", resp.StatusCode)
+	if code := doDelete(t, srv.URL+"/v1/tenants/3"); code != http.StatusNoContent {
+		t.Fatalf("delete status %d", code)
 	}
 
 	ackedSnap := trace.Capture(cf.Placement())
@@ -267,6 +262,91 @@ func TestWALKillRestart(t *testing.T) {
 	if rebuilt.Stats() != ackedStats {
 		t.Fatalf("recovered Stats %+v, acked %+v", rebuilt.Stats(), ackedStats)
 	}
+}
+
+// TestWALConcurrentTraffic races concurrent admissions and departures
+// against the single commit path, then kills the server and verifies that
+// replaying the log reproduces the acked state: the placer's batches and
+// the departures' syncs must reach the log in the order they reached the
+// engine.
+func TestWALConcurrentTraffic(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.jsonl")
+	wal, err := obs.OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, cf, ctrl := newEngineServer(t, WithWAL(wal))
+
+	for i := 0; i < 50; i++ {
+		if code := doJSON(t, "POST", srv.URL+"/v1/tenants",
+			map[string]any{"id": i, "load": 0.05}, nil); code != 201 {
+			t.Fatalf("seed place %d failed", i)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				id := 1000 + g*100 + i
+				if code := doJSON(t, "POST", srv.URL+"/v1/tenants",
+					map[string]any{"id": id, "load": 0.02 + float64(id%7)*0.03}, nil); code != 201 {
+					t.Errorf("concurrent place %d: %d", id, code)
+					return
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < 50; i += 2 {
+				if code := doDelete(t, srv.URL+"/v1/tenants/"+strconv.Itoa(i)); code != http.StatusNoContent {
+					t.Errorf("concurrent delete %d: %d", i, code)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if n := cf.Placement().NumTenants(); n != 200 {
+		t.Fatalf("tenants = %d, want 200", n)
+	}
+	ackedSnap := trace.Capture(cf.Placement())
+
+	srv.Close()
+	if err := ctrl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, rstats, err := recovery.FromFile(path, cf.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rstats.Admitted != 250 || rstats.Departed != 50 {
+		t.Fatalf("recovery stats %+v", rstats)
+	}
+	if got := trace.Capture(rebuilt.Placement()); !reflect.DeepEqual(got, ackedSnap) {
+		t.Fatal("recovered snapshot differs from acked snapshot")
+	}
+}
+
+func doDelete(t *testing.T, url string) int {
+	t.Helper()
+	req, err := http.NewRequest("DELETE", url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 // flakyWriter fails every write once tripped.
@@ -343,14 +423,8 @@ func TestRemoveTenantWALSyncFailureRollsBack(t *testing.T) {
 		t.Fatalf("admission status %d", code)
 	}
 	fw.trip()
-	req, _ := http.NewRequest("DELETE", srv.URL+"/v1/tenants/1", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 503 {
-		t.Fatalf("delete status %d, want 503", resp.StatusCode)
+	if code := doDelete(t, srv.URL+"/v1/tenants/1"); code != 503 {
+		t.Fatalf("delete status %d, want 503", code)
 	}
 	// The unacked removal was rolled back: the tenant is still placed,
 	// with its load and client count intact, and the state validates.

@@ -9,12 +9,18 @@ import (
 )
 
 // benchEngine builds an engine pre-loaded with enough tenants that the
-// first stage has a realistic population of active mature bins.
-func benchEngine(b *testing.B, cfg Config, tenants int) *CubeFit {
+// first stage has a realistic population of active mature bins. oracle,
+// when non-nil, switches the fresh engine onto a reference path (the
+// test-only scanFirstStage or cleared cachedReserve) before any tenant
+// is placed.
+func benchEngine(b *testing.B, cfg Config, tenants int, oracle func(*CubeFit)) *CubeFit {
 	b.Helper()
 	cf, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if oracle != nil {
+		oracle(cf)
 	}
 	r := rng.New(7)
 	for i := 0; i < tenants; i++ {
@@ -46,7 +52,9 @@ func BenchmarkBestMFitProbe(b *testing.B) {
 		for _, tenants := range impl.tenants {
 			name := fmt.Sprintf("%s/tenants%d", impl.name, tenants)
 			b.Run(name, func(b *testing.B) {
-				cf := benchEngine(b, Config{Gamma: 2, K: 10, ReferenceFirstStage: impl.reference}, tenants)
+				cf := benchEngine(b, Config{Gamma: 2, K: 10}, tenants, func(cf *CubeFit) {
+					cf.scanFirstStage = impl.reference
+				})
 				probe := packing.Tenant{ID: packing.TenantID(1 << 20), Load: 0.02}
 				if err := cf.p.AddTenant(probe); err != nil {
 					b.Fatal(err)
@@ -69,7 +77,9 @@ func BenchmarkBestMFitProbe(b *testing.B) {
 // worst case for the reference shared-map scan, the indifferent case for
 // the digest — and an m-fit probe against it.
 func benchMFitsEngine(b *testing.B, referenceReserve bool) (*CubeFit, *packing.Server, []int, packing.Replica) {
-	cf := benchEngine(b, Config{Gamma: 3, K: 10, ReferenceReserve: referenceReserve}, 1000)
+	cf := benchEngine(b, Config{Gamma: 3, K: 10}, 1000, func(cf *CubeFit) {
+		cf.cachedReserve = !referenceReserve
+	})
 	var srv *packing.Server
 	for _, bn := range cf.active {
 		s := cf.p.Server(bn.server)
@@ -112,9 +122,9 @@ func BenchmarkMFitsCached(b *testing.B) {
 	}
 }
 
-// BenchmarkMFitsReference pins the reference m-fit test behind
-// Config.ReferenceReserve: every call rescans the shared maps of the
-// candidate and each earlier host via topSharedAdjusted.
+// BenchmarkMFitsReference pins the reference m-fit test (cachedReserve
+// cleared): every call rescans the shared maps of the candidate and each
+// earlier host via topSharedAdjusted.
 func BenchmarkMFitsReference(b *testing.B) {
 	cf, srv, earlier, rep := benchMFitsEngine(b, true)
 	b.ReportAllocs()
@@ -127,7 +137,7 @@ func BenchmarkMFitsReference(b *testing.B) {
 // BenchmarkTopSharedAdjusted pins the m-fit inner loop: the hypothetical
 // top-k shared-load sum of a populated server.
 func BenchmarkTopSharedAdjusted(b *testing.B) {
-	cf := benchEngine(b, Config{Gamma: 3, K: 10}, 500)
+	cf := benchEngine(b, Config{Gamma: 3, K: 10}, 500, nil)
 	// Pick the active mature bin with the most sharing neighbors.
 	var srv *packing.Server
 	for _, bn := range cf.active {
@@ -151,7 +161,7 @@ func BenchmarkTopSharedAdjusted(b *testing.B) {
 // default (recorder-detached) hot path; allocs/op here is the number the
 // scratch buffers and ref pool exist to hold down.
 func BenchmarkPlaceNoRecorder(b *testing.B) {
-	cf := benchEngine(b, Config{Gamma: 2, K: 10}, 500)
+	cf := benchEngine(b, Config{Gamma: 2, K: 10}, 500, nil)
 	r := rng.New(11)
 	b.ReportAllocs()
 	b.ResetTimer()

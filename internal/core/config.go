@@ -66,20 +66,6 @@ type Config struct {
 	// future replica sizes (e.g. (δ+β)/γ under the client load model) can
 	// set it to keep first-stage scans fast without changing placements.
 	PruneSlack float64
-	// ReferenceFirstStage makes the first stage use the reference linear
-	// scan over all active mature bins instead of the level-bucketed index
-	// (see internal/core/index.go). The two are placement-identical — the
-	// parity property test asserts byte-identical traces — so the knob
-	// exists only for differential testing and index microbenchmarks.
-	ReferenceFirstStage bool
-	// ReferenceReserve makes the m-fit test and the per-bin reserve cache
-	// recompute top-(γ−1) shared sums from the shared maps
-	// (topSharedAdjusted / packing.TopShared) instead of reading the
-	// incremental per-bin reserve digests (see internal/core/reserve.go).
-	// The two are placement-identical — the parity property test asserts
-	// byte-identical traces — so the knob exists only for differential
-	// testing and reserve microbenchmarks.
-	ReferenceReserve bool
 }
 
 // DefaultConfig returns the configuration used in the paper's simulation

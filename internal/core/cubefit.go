@@ -32,9 +32,16 @@ type CubeFit struct {
 	refPool [][]slotRef
 
 	// cachedReserve enables the incremental reserve-digest fast path for
-	// m-fit tests and refreshBin (set in New from the config; see
-	// reserve.go).
+	// m-fit tests and refreshBin (set in New when γ−1 fits the digests;
+	// see reserve.go). When clear, both recompute from the shared maps
+	// (topSharedAdjusted / packing.TopShared); the parity tests and
+	// benchmarks clear it right after New to use that path as the oracle.
 	cachedReserve bool
+	// scanFirstStage selects the reference linear scan over all active
+	// mature bins (bestMFitScan) instead of the level-bucketed index. Like
+	// a cleared cachedReserve it is a test oracle, placement-identical to
+	// the fast path; only tests set it, right after New.
+	scanFirstStage bool
 
 	// Scratch buffers for the admission hot path. CubeFit is documented as
 	// not concurrency-safe, so a single instance of each suffices; they are
@@ -222,11 +229,11 @@ func New(cfg Config) (*CubeFit, error) {
 		cubes: make(map[cubeKey]*cube),
 		refs:  make(map[packing.TenantID][]slotRef),
 		// The cached reserve path answers top-(γ−1) queries from the
-		// per-bin digests; it needs γ−1 ≤ digestSize to be exact and is
-		// a no-op under the reference knob. The digests themselves are
-		// maintained unconditionally (the hook below) so the property
-		// tests can compare them against packing.TopShared in any mode.
-		cachedReserve: !cfg.ReferenceReserve && cfg.Gamma-1 <= digestSize,
+		// per-bin digests; it needs γ−1 ≤ digestSize to be exact. The
+		// digests themselves are maintained unconditionally (the hook
+		// below) so the property tests can compare them against
+		// packing.TopShared in any mode.
+		cachedReserve: cfg.Gamma-1 <= digestSize,
 	}
 	p.SetSharedHook(cf.sharedChanged)
 	return cf, nil

@@ -13,8 +13,8 @@ package core
 // The index is repaired on the same transitions that maintain the active
 // list — refreshBin after placements and departures, maturing, retiring —
 // and holds exactly the bins of CubeFit.active. The reference linear scan
-// (Config.ReferenceFirstStage) remains available; the parity property
-// test asserts both produce byte-identical placements.
+// (bestMFitScan) remains as a test oracle; the parity property test
+// asserts both produce byte-identical placements.
 
 // levelBuckets is the number of quantized level buckets. Levels live in
 // [0, 1], so each bucket spans 1/levelBuckets of load; 64 keeps buckets

@@ -65,10 +65,11 @@ func TestFirstStageIndexParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				reference, err := New(Config{Gamma: gamma, K: k, ReferenceFirstStage: true})
+				reference, err := New(Config{Gamma: gamma, K: k})
 				if err != nil {
 					t.Fatal(err)
 				}
+				reference.scanFirstStage = true
 				tenants := 300
 				got := parityWorkload(t, indexed, seed, tenants)
 				want := parityWorkload(t, reference, seed, tenants)

@@ -28,10 +28,11 @@ func TestReferenceReserveParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				reference, err := New(Config{Gamma: gamma, K: k, ReferenceReserve: true})
+				reference, err := New(Config{Gamma: gamma, K: k})
 				if err != nil {
 					t.Fatal(err)
 				}
+				reference.cachedReserve = false
 				tenants := 300
 				got := parityWorkload(t, cached, seed, tenants)
 				want := parityWorkload(t, reference, seed, tenants)

@@ -109,10 +109,10 @@ func (cf *CubeFit) refreshAfterPlacement(id packing.TenantID) {
 // their shared load with B.
 //
 // The default implementation walks the level index top-down; the reference
-// linear scan remains available behind Config.ReferenceFirstStage. Both
-// select the same bin: maximize level, break ties on the lower server ID.
+// linear scan remains as a test oracle (scanFirstStage). Both select the
+// same bin: maximize level, break ties on the lower server ID.
 func (cf *CubeFit) bestMFit(t packing.Tenant, rep packing.Replica) (best *bin, probed int) {
-	if cf.cfg.ReferenceFirstStage {
+	if cf.scanFirstStage {
 		return cf.bestMFitScan(t, rep)
 	}
 	return cf.bestMFitIndexed(t, rep)
@@ -259,7 +259,7 @@ func (cf *CubeFit) placedHosts(id packing.TenantID) []int {
 // tenant's earlier replicas on `earlier`. The adjusted top-k sums come
 // from the incremental per-bin reserve digests by default, making the
 // test O(γ) instead of a scan over the server's shared map; the
-// reference recomputation stays available behind Config.ReferenceReserve
+// reference recomputation stays as a test oracle (cachedReserve cleared)
 // and produces bit-identical sums.
 //
 //cubefit:hotpath

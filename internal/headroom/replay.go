@@ -28,27 +28,14 @@ type Point struct {
 	Overloaded   int `json:"overloaded"`
 }
 
-// InferGamma returns the replication factor implied by an event log: one
-// more than the largest replica index seen (minimum 1). Logs from a
-// γ-replicated engine address replicas 0..γ−1, so this recovers γ for any
-// log containing at least one fully admitted tenant.
-func InferGamma(events []obs.Event) int {
-	gamma := 1
-	for _, e := range events {
-		if e.Replica != obs.Unset && e.Replica+1 > gamma {
-			gamma = e.Replica + 1
-		}
-	}
-	return gamma
-}
-
 // Replay reconstructs the placement mutations of a decision event log
 // (the JSONL written by `cubefit-sim -events` or dumped from
 // GET /debug/events) against a fresh placement with the given replication
-// factor (<= 0 infers it via InferGamma), feeding an incremental Auditor
-// as it goes. After every closed admission and every departure it calls
-// fn with the headroom sample at that point (fn may be nil). It returns
-// the final placement and auditor state.
+// factor (<= 0 infers it via obs.InferGamma; a log that places nothing
+// replays at γ=1), feeding an incremental Auditor as it goes. After every
+// closed admission and every departure it calls fn with the headroom
+// sample at that point (fn may be nil). It returns the final placement
+// and auditor state.
 //
 // The replay applies the same state transitions the engines perform:
 // place-shaped events place replicas (opening servers as needed),
@@ -57,7 +44,7 @@ func InferGamma(events []obs.Event) int {
 // failure (RFI) replay to the same partial state.
 func Replay(events []obs.Event, gamma int, redline float64, fn func(Point)) (*packing.Placement, *Auditor, error) {
 	if gamma <= 0 {
-		gamma = InferGamma(events)
+		gamma = max(obs.InferGamma(events), 1)
 	}
 	p, err := packing.NewPlacement(gamma)
 	if err != nil {

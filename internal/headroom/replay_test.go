@@ -63,7 +63,7 @@ func TestReplayRoundTripCubeFit(t *testing.T) {
 	}
 	_ = cf.Place(packing.Tenant{ID: live[0], Load: 0.2}) // duplicate: rejected
 	_ = cf.Place(packing.Tenant{ID: 5000, Load: 1.5})    // invalid: rejected
-	if got := headroom.InferGamma(cap.events); got != 3 {
+	if got := obs.InferGamma(cap.events); got != 3 {
 		t.Fatalf("InferGamma = %d, want 3", got)
 	}
 

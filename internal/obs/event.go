@@ -85,14 +85,6 @@ const (
 	KindReject Kind = "reject"
 	// KindDepart reports a tenant removal: Tenant.
 	KindDepart Kind = "depart"
-	// KindWALCommit is a durability marker, not a placement decision: a
-	// sharded write-ahead log appends it to a segment to seal the batch of
-	// events staged there since the previous seal (see ShardedWAL).
-	// CommitSeq carries the log-wide monotone commit sequence; recovery
-	// merge-replays segment batches in CommitSeq order and stops at the
-	// first gap. Engines never emit it, and recovery strips it from the
-	// replayed stream.
-	KindWALCommit Kind = "wal_commit"
 )
 
 // Unset marks an identity field (Tenant, Replica, Server, Slot, Class,
@@ -123,10 +115,6 @@ type Event struct {
 	Probes  int     `json:"probes,omitempty"`
 	Path    string  `json:"path,omitempty"`
 	Reason  string  `json:"reason,omitempty"`
-	// CommitSeq is the monotone commit sequence of a wal_commit record
-	// (meaningful only for KindWALCommit; sequences start at 1, so 0 is
-	// the absent value).
-	CommitSeq uint64 `json:"commitSeq,omitempty"`
 }
 
 // NewEvent returns an event of the given kind with every identity field
@@ -141,6 +129,26 @@ func NewEvent(kind Kind) Event {
 		Class:   Unset,
 		Counter: Unset,
 	}
+}
+
+// InferGamma returns the replication factor witnessed by an event log:
+// one more than the largest replica index a place-shaped event (place,
+// stage1_place, cube_place) put on a server, or 0 when the log places no
+// replica. A γ-replicated engine addresses replicas 0..γ−1, so any log
+// holding one fully admitted tenant yields γ; returning 0 rather than a
+// guess on a log without placements lets callers tell "no evidence" from
+// a mismatch.
+func InferGamma(events []Event) int {
+	gamma := 0
+	for _, e := range events {
+		switch e.Kind {
+		case KindPlace, KindStage1Place, KindCubePlace:
+			if e.Replica+1 > gamma {
+				gamma = e.Replica + 1
+			}
+		}
+	}
+	return gamma
 }
 
 // Recorder consumes decision events. Implementations must be safe for the

@@ -29,6 +29,30 @@ func TestNewEventSentinels(t *testing.T) {
 	}
 }
 
+// TestInferGamma: only place-shaped events witness γ, and a log that
+// places nothing yields 0 rather than a guess.
+func TestInferGamma(t *testing.T) {
+	event := func(kind Kind, replica int) Event {
+		e := NewEvent(kind)
+		e.Replica = replica
+		return e
+	}
+	for _, tc := range []struct {
+		name   string
+		events []Event
+		want   int
+	}{
+		{"empty", nil, 0},
+		{"no placements", []Event{event(KindAttempt, Unset), event(KindStage1Probe, 2), event(KindReject, Unset)}, 0},
+		{"place", []Event{event(KindPlace, 0), event(KindPlace, 1)}, 2},
+		{"stage1 and cube", []Event{event(KindCubePlace, 0), event(KindStage1Place, 2), event(KindProbe, 5)}, 3},
+	} {
+		if got := InferGamma(tc.events); got != tc.want {
+			t.Errorf("%s: InferGamma = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestRingWraparound(t *testing.T) {
 	r := NewRing(4)
 	for i := 0; i < 10; i++ {

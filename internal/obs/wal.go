@@ -28,6 +28,28 @@ type Syncer interface {
 	Sync() error
 }
 
+// CommitLog is the durability seam of the admission pipeline: a Recorder
+// whose group commit (Sync) makes every previously recorded event durable
+// before the admissions it covers are acked, with sticky fail-closed
+// error reporting. *WAL implements it; the api.Controller depends only on
+// this interface, so tests and instrumentation can wrap or fake the log.
+type CommitLog interface {
+	Recorder
+	// Sync makes every recorded event durable (group commit) and returns
+	// the sticky error, if any.
+	Sync() error
+	// Err returns the sticky error, if any; callers on the admission path
+	// must fail closed on a non-nil value.
+	Err() error
+	// Failed reports sticky commit failure without taking the commit
+	// lock, so health sampling survives a hung fsync.
+	Failed() bool
+	// Close performs a final commit and releases the underlying file.
+	Close() error
+}
+
+var _ CommitLog = (*WAL)(nil)
+
 // WAL is a write-ahead sink for the decision event stream: events are
 // JSON-encoded into an in-memory buffer as the engines emit them, and a
 // group commit (Sync) pushes the accumulated batch to the underlying

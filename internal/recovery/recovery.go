@@ -107,7 +107,7 @@ func Rebuild(events []obs.Event, cfg core.Config) (*core.CubeFit, Stats, error) 
 	}
 	committed := CommittedPrefix(events)
 	st := Stats{Events: len(committed), Dropped: len(events) - len(committed)}
-	if n := InferGamma(committed); n > 0 && n != cf.Config().Gamma {
+	if n := obs.InferGamma(committed); n > 0 && n != cf.Config().Gamma {
 		return nil, Stats{}, fmt.Errorf("recovery: log was written at γ=%d, engine configured with γ=%d", n, cf.Config().Gamma)
 	}
 	ops, err := extractOps(committed)
@@ -148,23 +148,6 @@ func CommittedPrefix(events []obs.Event) []obs.Event {
 		}
 	}
 	return nil
-}
-
-// InferGamma returns the replication factor witnessed by a committed log
-// (the largest replica index placed, plus one), or 0 when the log places
-// nothing. Unlike headroom.InferGamma it never guesses from an empty log,
-// so callers can distinguish "no evidence" from a mismatch.
-func InferGamma(events []obs.Event) int {
-	gamma := 0
-	for _, e := range events {
-		switch e.Kind {
-		case obs.KindPlace, obs.KindStage1Place, obs.KindCubePlace:
-			if e.Replica+1 > gamma {
-				gamma = e.Replica + 1
-			}
-		}
-	}
-	return gamma
 }
 
 // extractOps linearizes a committed log into engine operations. The
