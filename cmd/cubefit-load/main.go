@@ -41,9 +41,11 @@
 //
 // When the target serves GET /debug/health (the in-process controller
 // runs the health sampling loop during the run), each mode's report
-// folds the verdict in: the final health state, any state transitions
-// the load provoked (burn-rate breach, queue saturation), and a
-// health-transitions column in the -o report.
+// folds the verdict in: the final health state with the number of ticks
+// it rests on, any state transitions the load provoked (burn-rate breach,
+// queue saturation), and health-ticks and health-transitions columns in
+// the -o report. A run that ends before the first tick reports "no data"
+// rather than a verdict.
 package main
 
 import (
@@ -124,7 +126,10 @@ type result struct {
 // saturation, headroom erosion) surfaces next to the numbers that caused
 // it.
 type healthSummary struct {
-	State            string `json:"state"`
+	State string `json:"state"`
+	// Ticks counts the sample-evaluate cycles the verdict rests on; 0
+	// means the run ended before the first one.
+	Ticks            uint64 `json:"ticks"`
 	TransitionsTotal uint64 `json:"transitionsTotal"`
 	Transitions      []struct {
 		TNs   int64    `json:"tNs"`
@@ -132,6 +137,15 @@ type healthSummary struct {
 		To    string   `json:"to"`
 		Rules []string `json:"rules"`
 	} `json:"transitions"`
+}
+
+// verdict is the health line's text: the state with the ticks and
+// transitions behind it, or "no data" when no tick was sampled.
+func (h *healthSummary) verdict() string {
+	if h.Ticks == 0 {
+		return "no data (0 ticks)"
+	}
+	return fmt.Sprintf("%s after %d ticks, %d transitions", h.State, h.Ticks, h.TransitionsTotal)
 }
 
 func (r result) perTenantNs() float64 {
@@ -227,7 +241,7 @@ func run(args []string, stdout io.Writer) (err error) {
 			fmt.Fprintln(stdout)
 		}
 		if r.health != nil {
-			fmt.Fprintf(stdout, "  health: %s, %d transitions\n", r.health.State, r.health.TransitionsTotal)
+			fmt.Fprintf(stdout, "  health: %s\n", r.health.verdict())
 			for _, tr := range r.health.Transitions {
 				fmt.Fprintf(stdout, "    %s %s → %s [%s]\n",
 					time.Duration(tr.TNs), tr.From, tr.To, strings.Join(tr.Rules, ", "))
@@ -575,9 +589,12 @@ func writeReport(path string, results []result) error {
 		for k, v := range r.stages {
 			metrics[k] = v
 		}
-		// Health verdict column: transitions observed during the run (0 on
-		// a run the server stayed healthy through).
+		// Health verdict columns: the ticks sampled during the run (0 when
+		// it ended before the first, so the verdict is empty) and the
+		// transitions observed (0 on a run the server stayed healthy
+		// through).
 		if r.health != nil {
+			metrics["health-ticks"] = float64(r.health.Ticks)
 			metrics["health-transitions"] = float64(r.health.TransitionsTotal)
 		}
 		rep.Benchmarks = append(rep.Benchmarks, benchmark{

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,15 +51,40 @@ func TestRunBothWritesReport(t *testing.T) {
 		if b.Metrics["ns/op"] <= 0 || b.Metrics["queue-p99-ns"] < b.Metrics["queue-p50-ns"] {
 			t.Fatalf("%s metrics implausible: %v", name, b.Metrics)
 		}
-		if _, ok := b.Metrics["health-transitions"]; !ok {
-			t.Fatalf("%s missing the health-transitions column: %v", name, b.Metrics)
+		for _, unit := range []string{"health-ticks", "health-transitions"} {
+			if _, ok := b.Metrics[unit]; !ok {
+				t.Fatalf("%s missing the %s column: %v", name, unit, b.Metrics)
+			}
+		}
+		// The printed verdict agrees with the ticks column: a run that
+		// ended before the first tick says so instead of "healthy".
+		want := "health: no data (0 ticks)"
+		if ticks := b.Metrics["health-ticks"]; ticks > 0 {
+			want = fmt.Sprintf(" after %d ticks, %d transitions", int(ticks), int(b.Metrics["health-transitions"]))
+		}
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("%s: health line does not contain %q:\n%s", name, want, buf.String())
 		}
 	}
 	if !strings.Contains(buf.String(), "stages:") {
 		t.Fatalf("missing stage breakdown line:\n%s", buf.String())
 	}
-	if !strings.Contains(buf.String(), "health:") {
-		t.Fatalf("missing health verdict line:\n%s", buf.String())
+}
+
+// TestHealthVerdict: zero ticks is "no data", never a state; otherwise
+// the state comes with the ticks and transitions behind it.
+func TestHealthVerdict(t *testing.T) {
+	for _, c := range []struct {
+		h    healthSummary
+		want string
+	}{
+		{healthSummary{State: "healthy"}, "no data (0 ticks)"},
+		{healthSummary{State: "healthy", Ticks: 3}, "healthy after 3 ticks, 0 transitions"},
+		{healthSummary{State: "critical", Ticks: 12, TransitionsTotal: 2}, "critical after 12 ticks, 2 transitions"},
+	} {
+		if got := c.h.verdict(); got != c.want {
+			t.Errorf("verdict(%+v) = %q, want %q", c.h, got, c.want)
+		}
 	}
 }
 
@@ -82,8 +108,10 @@ func TestRunHealthOff(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := rep.Benchmarks[0].Metrics["health-transitions"]; ok {
-		t.Fatal("health-off report carries the health column")
+	for _, unit := range []string{"health-ticks", "health-transitions"} {
+		if _, ok := rep.Benchmarks[0].Metrics[unit]; ok {
+			t.Fatalf("health-off report carries the %s column", unit)
+		}
 	}
 }
 

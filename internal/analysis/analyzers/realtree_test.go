@@ -54,6 +54,7 @@ func TestRealTreeHotpathAnnotationsPresent(t *testing.T) {
 		"cubefit/internal/core.CubeFit.emit",
 		"cubefit/internal/core.CubeFit.tryFirstStage",
 		"cubefit/internal/core.CubeFit.bestMFitIndexed",
+		"cubefit/internal/core.CubeFit.firstMFit",
 		"cubefit/internal/core.CubeFit.bestMFitScan",
 		"cubefit/internal/core.CubeFit.placedHosts",
 		"cubefit/internal/core.CubeFit.mFits",
@@ -63,9 +64,12 @@ func TestRealTreeHotpathAnnotationsPresent(t *testing.T) {
 		"cubefit/internal/core.CubeFit.placeAtCursor",
 		"cubefit/internal/core.CubeFit.advance",
 		"cubefit/internal/core.CubeFit.refreshBin",
-		"cubefit/internal/core.levelIndex.insert",
-		"cubefit/internal/core.levelIndex.remove",
-		"cubefit/internal/core.levelIndex.update",
+		// The Best-Fit index: filing, unfiling and re-keying a bin, and
+		// the slack-maximum pull every tree step runs.
+		"cubefit/internal/core.fitIndex.insert",
+		"cubefit/internal/core.fitIndex.remove",
+		"cubefit/internal/core.fitIndex.update",
+		"cubefit/internal/core.subMax",
 		// The incremental reserve cache: the digest maintenance on every
 		// shared-load delta and the cached compare inside mFits.
 		"cubefit/internal/core.CubeFit.sharedChanged",
@@ -74,8 +78,6 @@ func TestRealTreeHotpathAnnotationsPresent(t *testing.T) {
 		"cubefit/internal/core.topKDigest.insert",
 		"cubefit/internal/core.topKDigest.topSum",
 		"cubefit/internal/core.topKDigest.adjustedTopSum",
-		// The slack-pruned probe's bucket-bound maintenance.
-		"cubefit/internal/core.levelBucketState.raise",
 		// The pooled event seam every emission crosses.
 		"cubefit/internal/obs.AcquireEvent",
 		"cubefit/internal/obs.ReleaseEvent",

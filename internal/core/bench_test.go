@@ -6,6 +6,7 @@ import (
 
 	"cubefit/internal/packing"
 	"cubefit/internal/rng"
+	"cubefit/internal/workload"
 )
 
 // benchEngine builds an engine pre-loaded with enough tenants that the
@@ -175,4 +176,66 @@ func BenchmarkPlaceNoRecorder(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPlaceFleet measures one admission against a service-scale
+// fleet that grows the way the service grows it: uniform(1..15) clients
+// through workload.DefaultLoadModel, γ=2, K=10, no recorder, no
+// departures. Each iteration places one new tenant; once the timed
+// admissions have grown the fleet by a tenth, it is rebuilt off the
+// clock, so every timed Place lands on a fleet of N to 1.1·N tenants at
+// any b.N. First-stage cost grows with the logarithm of the fleet, so the
+// 250k point should stay within 2× of the 10k point.
+func BenchmarkPlaceFleet(b *testing.B) {
+	for _, tenants := range []int{10000, 100000, 250000} {
+		// Shared by the b.N rounds and -count repetitions of one size.
+		var (
+			cf    *CubeFit
+			src   *workload.ClientSource
+			grown int
+		)
+		b.Run(fmt.Sprintf("tenants%d", tenants), func(b *testing.B) {
+			b.ReportAllocs()
+			if cf == nil {
+				cf, src = fleetEngine(b, tenants)
+				b.ResetTimer()
+			}
+			for i := 0; i < b.N; i++ {
+				if grown == tenants/10 {
+					b.StopTimer()
+					cf, src = fleetEngine(b, tenants)
+					grown = 0
+					b.StartTimer()
+				}
+				if err := cf.Place(src.Next()); err != nil {
+					b.Fatal(err)
+				}
+				grown++
+			}
+		})
+	}
+}
+
+// fleetEngine grows a CubeFit fleet of the given size through the
+// service's load model and returns it with the source of later tenants.
+func fleetEngine(b *testing.B, tenants int) (*CubeFit, *workload.ClientSource) {
+	b.Helper()
+	cf, err := New(Config{Gamma: 2, K: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dist, err := workload.NewUniform(1, 15)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := workload.NewClientSource(workload.DefaultLoadModel(), dist, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < tenants; i++ {
+		if err := cf.Place(src.Next()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return cf, src
 }

@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"cubefit/internal/packing"
 	"cubefit/internal/rng"
 	"cubefit/internal/trace"
+	"cubefit/internal/workload"
 )
 
 // parityWorkload drives one engine through a randomized admit/depart
@@ -17,27 +19,59 @@ import (
 // byte difference in the trace.
 func parityWorkload(t *testing.T, cf *CubeFit, seed uint64, tenants int) []byte {
 	t.Helper()
+	// Departures with probability ~1/4 keep bins cycling through
+	// retire/reactivate transitions, the index's hardest case.
+	return runParity(t, cf, seed, tenants, 0.25, continuousTenants(cf.cfg.Gamma), nil)
+}
+
+// continuousTenants draws replica sizes spanning every class, including
+// first-stage-friendly small replicas and tiny class-K ones; the tenant's
+// total load γ·size stays within (0, 1].
+func continuousTenants(gamma int) func(*rng.RNG, packing.TenantID) packing.Tenant {
+	g := float64(gamma)
+	return func(r *rng.RNG, id packing.TenantID) packing.Tenant {
+		size := 0.001 + (0.9/g-0.001)*r.Float64()
+		return packing.Tenant{ID: id, Load: size * g}
+	}
+}
+
+// serviceTenant draws a tenant the way the service sees them: a
+// uniform(1..15) client count through the default load model. Only 15
+// replica sizes exist, so many bins share the exact same level and the
+// server-ID tie-break decides.
+func serviceTenant(r *rng.RNG, id packing.TenantID) packing.Tenant {
+	c := r.IntRange(1, 15)
+	return packing.Tenant{ID: id, Load: workload.DefaultLoadModel().Load(c), Clients: c}
+}
+
+// runParity admits tenants drawn by next, departs a random live tenant
+// with probability departP after each admission, calls check (when
+// non-nil) after every operation, and returns the serialized final
+// placement.
+func runParity(t *testing.T, cf *CubeFit, seed uint64, tenants int, departP float64,
+	next func(*rng.RNG, packing.TenantID) packing.Tenant, check func()) []byte {
+	t.Helper()
 	r := rng.New(seed)
 	live := make([]packing.TenantID, 0, tenants)
 	for i := 0; i < tenants; i++ {
-		// Sizes spanning every class, including first-stage-friendly small
-		// replicas and tiny class-K ones; the tenant's total load γ·size
-		// must stay within (0, 1].
-		size := 0.001 + (0.9/float64(cf.cfg.Gamma)-0.001)*r.Float64()
-		id := packing.TenantID(i + 1)
-		if err := cf.Place(packing.Tenant{ID: id, Load: size * float64(cf.cfg.Gamma)}); err != nil {
-			t.Fatalf("seed %d: place tenant %d: %v", seed, id, err)
+		tn := next(r, packing.TenantID(i+1))
+		if err := cf.Place(tn); err != nil {
+			t.Fatalf("seed %d: place tenant %d: %v", seed, tn.ID, err)
 		}
-		live = append(live, id)
-		// Departures with probability ~1/4 keep bins cycling through
-		// retire/reactivate transitions, the index's hardest case.
-		if len(live) > 4 && r.Float64() < 0.25 {
+		live = append(live, tn.ID)
+		if check != nil {
+			check()
+		}
+		if len(live) > 4 && r.Float64() < departP {
 			victim := int(r.Uint64() % uint64(len(live)))
 			id := live[victim]
 			live[victim] = live[len(live)-1]
 			live = live[:len(live)-1]
 			if err := cf.Remove(id); err != nil {
 				t.Fatalf("seed %d: remove tenant %d: %v", seed, id, err)
+			}
+			if check != nil {
+				check()
 			}
 		}
 	}
@@ -48,107 +82,143 @@ func parityWorkload(t *testing.T, cf *CubeFit, seed uint64, tenants int) []byte 
 	return buf.Bytes()
 }
 
+// parityPair builds an indexed engine and its reference-scan twin.
+func parityPair(t *testing.T, cfg Config) (indexed, reference *CubeFit) {
+	t.Helper()
+	indexed, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reference, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reference.scanFirstStage = true
+	return indexed, reference
+}
+
+// assertParity fails unless the two engines' traces, Stats and active
+// bin counts agree.
+func assertParity(t *testing.T, seed uint64, indexed, reference *CubeFit, got, want []byte) {
+	t.Helper()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("seed %d: indexed and reference first stages diverged (trace bytes differ)", seed)
+	}
+	if indexed.Stats() != reference.Stats() {
+		t.Fatalf("seed %d: stats diverged: indexed %+v reference %+v",
+			seed, indexed.Stats(), reference.Stats())
+	}
+	if indexed.NumActiveMatureBins() != reference.NumActiveMatureBins() {
+		t.Fatalf("seed %d: active bin count diverged: indexed %d reference %d",
+			seed, indexed.NumActiveMatureBins(), reference.NumActiveMatureBins())
+	}
+}
+
+// parityK keeps (K−1)^γ cube sizes moderate at γ=4.
+func parityK(gamma int) int {
+	if gamma == 4 {
+		return 5
+	}
+	return 10
+}
+
 // TestFirstStageIndexParity is the property test required by the fast-path
 // index: across random workloads with departures, the indexed bestMFit and
 // the reference linear scan must produce byte-identical placements and
-// identical Stats at γ ∈ {2, 3, 4}.
+// identical Stats at γ ∈ {2, 3, 4}. Two inputs: continuous random sizes
+// spanning every class, and the service's shape — uniform(1..15) clients
+// through the default load model, a few thousand tenants, 20% departures.
 func TestFirstStageIndexParity(t *testing.T) {
 	for _, gamma := range []int{2, 3, 4} {
 		gamma := gamma
+		cfg := Config{Gamma: gamma, K: parityK(gamma)}
 		t.Run(fmt.Sprintf("gamma%d", gamma), func(t *testing.T) {
-			k := 10
-			if gamma == 4 {
-				k = 5 // keep (K−1)^γ cube sizes moderate
-			}
 			for seed := uint64(1); seed <= 8; seed++ {
-				indexed, err := New(Config{Gamma: gamma, K: k})
-				if err != nil {
-					t.Fatal(err)
-				}
-				reference, err := New(Config{Gamma: gamma, K: k})
-				if err != nil {
-					t.Fatal(err)
-				}
-				reference.scanFirstStage = true
-				tenants := 300
-				got := parityWorkload(t, indexed, seed, tenants)
-				want := parityWorkload(t, reference, seed, tenants)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("seed %d: indexed and reference first stages diverged (trace bytes differ)", seed)
-				}
-				if indexed.Stats() != reference.Stats() {
-					t.Fatalf("seed %d: stats diverged: indexed %+v reference %+v",
-						seed, indexed.Stats(), reference.Stats())
-				}
-				if indexed.NumActiveMatureBins() != reference.NumActiveMatureBins() {
-					t.Fatalf("seed %d: active bin count diverged: indexed %d reference %d",
-						seed, indexed.NumActiveMatureBins(), reference.NumActiveMatureBins())
-				}
+				indexed, reference := parityPair(t, cfg)
+				got := parityWorkload(t, indexed, seed, 300)
+				want := parityWorkload(t, reference, seed, 300)
+				assertParity(t, seed, indexed, reference, got, want)
+			}
+		})
+		t.Run(fmt.Sprintf("service/gamma%d", gamma), func(t *testing.T) {
+			for seed := uint64(1); seed <= 4; seed++ {
+				indexed, reference := parityPair(t, cfg)
+				got := runParity(t, indexed, seed, 3000, 0.2, serviceTenant, nil)
+				want := runParity(t, reference, seed, 3000, 0.2, serviceTenant, nil)
+				assertParity(t, seed, indexed, reference, got, want)
 			}
 		})
 	}
 }
 
-// TestLevelIndexMirrorsActive checks the structural invariant the fast
-// path relies on: after an arbitrary workload, the level index holds
-// exactly the active bins, each under the bucket of its cached level.
-func TestLevelIndexMirrorsActive(t *testing.T) {
-	cf, err := New(Config{Gamma: 2, K: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parityWorkload(t, cf, 42, 400)
-	indexed := 0
-	for q := range cf.index.buckets {
-		bucket := &cf.index.buckets[q]
-		for pos, b := range bucket.bins {
-			indexed++
-			if b.slack > bucket.slackUB {
-				t.Errorf("bin %d: slack %v exceeds bucket %d slack bound %v",
-					b.server, b.slack, q, bucket.slackUB)
-			}
-			if free := 1 - b.level; free > bucket.freeUB {
-				t.Errorf("bin %d: free %v exceeds bucket %d free bound %v",
-					b.server, free, q, bucket.freeUB)
-			}
-			if b.bucket != q || b.bucketPos != pos {
-				t.Fatalf("bin %d: stored position (%d,%d) but fields say (%d,%d)",
-					b.server, q, pos, b.bucket, b.bucketPos)
-			}
-			if levelBucket(b.level) != q {
-				t.Errorf("bin %d: level %v belongs in bucket %d, found in %d",
-					b.server, b.level, levelBucket(b.level), q)
-			}
-			if b.activeIdx < 0 {
-				t.Errorf("bin %d: indexed but not active", b.server)
-			}
-		}
-	}
-	if indexed != len(cf.active) {
-		t.Fatalf("index holds %d bins, active list %d", indexed, len(cf.active))
-	}
-	for _, b := range cf.active {
-		if b.bucket < 0 {
-			t.Errorf("bin %d: active but not indexed", b.server)
+// TestFitIndexStructure checks the invariants the fast path relies on,
+// after every operation of both parity inputs: the index holds exactly
+// the active bins; an in-order walk is Best-Fit order (level descending,
+// server ID ascending); every node is filed under its bin's cached level,
+// which is the server's level; every subtree slack maximum is exact;
+// priorities form a heap; and no indexed bin has slack at or below
+// PruneSlack.
+func TestFitIndexStructure(t *testing.T) {
+	for _, gamma := range []int{2, 3, 4} {
+		for _, prune := range []float64{0, 0.05} {
+			cfg := Config{Gamma: gamma, K: parityK(gamma), PruneSlack: prune}
+			t.Run(fmt.Sprintf("gamma%d/prune%g", gamma, prune), func(t *testing.T) {
+				cf := mustCubeFit(t, cfg)
+				check := func() { checkFitIndex(t, cf) }
+				check() // the empty index
+				runParity(t, cf, 42, 400, 0.25, continuousTenants(gamma), check)
+				runParity(t, cf, 43, 600, 0.2, func(r *rng.RNG, id packing.TenantID) packing.Tenant {
+					return serviceTenant(r, id+1000) // after the first run's IDs
+				}, check)
+			})
 		}
 	}
 }
 
-func TestLevelBucketBounds(t *testing.T) {
-	cases := []struct {
-		level float64
-		want  int
-	}{
-		{-0.1, 0},
-		{0, 0},
-		{0.5, levelBuckets / 2},
-		{0.999999, levelBuckets - 1},
-		{1, levelBuckets - 1},
-		{1.5, levelBuckets - 1},
+// checkFitIndex verifies the Best-Fit index of cf against a recomputation
+// from the bins themselves.
+func checkFitIndex(t *testing.T, cf *CubeFit) {
+	t.Helper()
+	var order []*bin
+	var walk func(n int32, parentPrio uint32) float64
+	walk = func(n int32, parentPrio uint32) float64 {
+		if n == noBin {
+			return noSlack
+		}
+		b := cf.bins[n]
+		if b.prio > parentPrio {
+			t.Fatalf("bin %d: priority %d above its parent's %d", b.server, b.prio, parentPrio)
+		}
+		left := walk(b.left, b.prio)
+		order = append(order, b)
+		right := walk(b.right, b.prio)
+		if b.leftMax != left || b.rightMax != right {
+			t.Fatalf("bin %d: recorded child slack maxima (%v, %v), recomputed (%v, %v)",
+				b.server, b.leftMax, b.rightMax, left, right)
+		}
+		return math.Max(b.slack, math.Max(left, right))
 	}
-	for _, c := range cases {
-		if got := levelBucket(c.level); got != c.want {
-			t.Errorf("levelBucket(%v) = %d, want %d", c.level, got, c.want)
+	walk(cf.index.root, math.MaxUint32)
+	if len(order) != len(cf.active) {
+		t.Fatalf("index holds %d bins, active list %d", len(order), len(cf.active))
+	}
+	for i, b := range order {
+		if b.activeIdx < 0 || cf.active[b.activeIdx] != b {
+			t.Fatalf("bin %d: indexed but not active", b.server)
+		}
+		level := cf.p.Server(b.server).Level()
+		if b.key != b.level || b.level != level {
+			t.Fatalf("bin %d: filed under %v, cached level %v, server level %v", b.server, b.key, b.level, level)
+		}
+		if packing.FitsWithin(b.slack, cf.cfg.PruneSlack) {
+			t.Fatalf("bin %d: indexed with slack %v at or below PruneSlack %v", b.server, b.slack, cf.cfg.PruneSlack)
+		}
+		if i > 0 {
+			prev := order[i-1]
+			if !(prev.level > b.level || (prev.level == b.level && prev.server < b.server)) {
+				t.Fatalf("in-order walk not Best-Fit order: bin %d (level %v) before bin %d (level %v)",
+					prev.server, prev.level, b.server, b.level)
+			}
 		}
 	}
 }

@@ -108,7 +108,7 @@ func (cf *CubeFit) refreshAfterPlacement(id packing.TenantID) {
 // tenant's earlier replicas remains sufficient, since placing r increases
 // their shared load with B.
 //
-// The default implementation walks the level index top-down; the reference
+// The default implementation walks the Best-Fit index; the reference
 // linear scan remains as a test oracle (scanFirstStage). Both select the
 // same bin: maximize level, break ties on the lower server ID.
 func (cf *CubeFit) bestMFit(t packing.Tenant, rep packing.Replica) (best *bin, probed int) {
@@ -118,76 +118,53 @@ func (cf *CubeFit) bestMFit(t packing.Tenant, rep packing.Replica) (best *bin, p
 	return cf.bestMFitIndexed(t, rep)
 }
 
-// bestMFitIndexed is the fast path: it walks the level buckets from the
-// highest down and stops after the first bucket that yields a candidate,
-// since bins in lower buckets have strictly lower levels and Best Fit
-// maximizes level. Within a bucket the exact cached levels break the
-// order; the cached slack filters bins that cannot possibly m-fit before
-// the server is touched.
+// bestMFitIndexed is the fast path: it walks the Best-Fit index in order
+// (level descending, server ID ascending) and returns the first bin that
+// m-fits, which is exactly the bin the reference scan selects. Subtrees
+// whose maximum slack cannot hold the replica are skipped whole; the
+// slack test is necessary for m-fitting because the reserve only grows.
 //
 //cubefit:hotpath
 func (cf *CubeFit) bestMFitIndexed(t packing.Tenant, rep packing.Replica) (best *bin, probed int) {
-	earlier := cf.placedHosts(t.ID)
-	for q := levelBuckets - 1; q >= 0; q-- {
-		bk := &cf.index.buckets[q]
-		if len(bk.bins) == 0 {
-			continue
-		}
-		// Bucket pruning: the bounds dominate every bin's free capacity
-		// and usable slack, and m-fitting needs rep.Size within both, so
-		// a bucket failing either cannot contain a candidate. Skipped
-		// buckets contribute no probes — only bins reaching the m-fit
-		// test below are counted.
-		if !packing.FitsWithin(rep.Size, bk.freeUB) || !packing.FitsWithin(rep.Size, bk.slackUB) {
-			continue
-		}
-		bestLevel := -1.0
-		// The walk visits every bin, so it re-tightens the bucket bounds
-		// to the exact maxima for free.
-		maxSlack, maxFree := 0.0, 0.0
-		for i := 0; i < len(bk.bins); i++ {
-			b := bk.bins[i]
-			if packing.FitsWithin(b.slack, cf.cfg.PruneSlack) {
-				// Defensive retirement, mirroring the reference scan;
-				// refreshBin retires such bins eagerly, so this is not
-				// expected to trigger. remove swaps the last bucket entry
-				// into position i, so the scan index stays put.
-				cf.removeActive(b)
-				cf.retireBin(b)
-				i--
-				continue
-			}
-			if b.slack > maxSlack {
-				maxSlack = b.slack
-			}
-			if free := 1 - b.level; free > maxFree {
-				maxFree = free
-			}
-			if b.level < bestLevel ||
-				//cubefit:vet-allow floatcmp -- exact tie-break on level keeps Best Fit deterministic
-				(b.level == bestLevel && best != nil && b.server > best.server) {
-				continue
-			}
-			if !packing.FitsWithin(rep.Size, b.slack) {
-				continue // necessary condition: new reserve only grows
-			}
-			srv := cf.p.Server(b.server)
-			if srv.Hosts(t.ID) {
-				continue
-			}
-			probed++
-			if cf.mFits(srv, earlier, rep) {
-				best = b
-				bestLevel = b.level
-			}
-		}
-		bk.slackUB = maxSlack
-		bk.freeUB = maxFree
-		if best != nil {
-			return best, probed
-		}
+	root := cf.index.root
+	if !packing.FitsWithin(rep.Size, subMax(cf.bins, root)) {
+		return nil, 0
 	}
-	return nil, probed
+	earlier := cf.placedHosts(t.ID)
+	best = cf.firstMFit(root, t, rep, earlier, &probed)
+	return best, probed
+}
+
+// firstMFit returns the first bin of the subtree rooted at n, in Best-Fit
+// order, that m-fits the replica (nil if none), counting in probed the
+// bins that reach the m-fit test. The caller has checked that the
+// subtree's slack maximum holds the replica; the walk only enters child
+// subtrees whose recorded maximum does too, and a bin that fails the
+// test resumes the walk right after it.
+//
+//cubefit:hotpath
+func (cf *CubeFit) firstMFit(n int32, t packing.Tenant, rep packing.Replica, earlier []int, probed *int) *bin {
+	for {
+		b := cf.bins[n]
+		if packing.FitsWithin(rep.Size, b.leftMax) {
+			if found := cf.firstMFit(b.left, t, rep, earlier, probed); found != nil {
+				return found
+			}
+		}
+		if packing.FitsWithin(rep.Size, b.slack) {
+			srv := cf.p.Server(b.server)
+			if !srv.Hosts(t.ID) {
+				*probed++
+				if cf.mFits(srv, earlier, rep) {
+					return b
+				}
+			}
+		}
+		if !packing.FitsWithin(rep.Size, b.rightMax) {
+			return nil
+		}
+		n = b.right
+	}
 }
 
 // bestMFitScan is the reference implementation: a linear scan over all

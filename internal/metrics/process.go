@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	rtm "runtime/metrics"
+	"sync"
 )
 
 // Process self-metrics: runtime signals the telemetry sampler watches
@@ -22,14 +23,18 @@ const (
 //	cubefit_process_heap_inuse_bytes    bytes in live + dead heap objects
 //	cubefit_process_gc_pause_p99_seconds  P99 GC pause, all-time histogram
 //
-// Update refreshes the gauges from one runtime/metrics read; the server
-// calls it from each telemetry tick and from the /metrics handler path,
-// so the gauges are only as stale as the last scrape.
+// Update refreshes the gauges from one runtime/metrics read. The api
+// controller runs it before each telemetry tick and before each GET
+// /metrics exposition, so the gauges are only as stale as the read
+// serving them.
 type ProcessMetrics struct {
 	goroutines *Gauge
 	heapInuse  *Gauge
 	gcPauseP99 *FGauge
-	samples    []rtm.Sample
+	// mu serializes Update: the sample slice is reused across reads.
+	mu sync.Mutex
+	//cubefit:guarded-by mu
+	samples []rtm.Sample
 }
 
 // NewProcessMetrics registers the process gauges on r.
@@ -49,8 +54,11 @@ func NewProcessMetrics(r *Registry) *ProcessMetrics {
 	}
 }
 
-// Update re-reads the runtime metrics into the registered gauges.
+// Update re-reads the runtime metrics into the registered gauges. It is
+// safe for concurrent use.
 func (p *ProcessMetrics) Update() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	rtm.Read(p.samples)
 	for i := range p.samples {
 		s := &p.samples[i]

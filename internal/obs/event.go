@@ -35,11 +35,12 @@ const (
 	// KindAttempt opens an admission: Tenant, Size (the tenant load).
 	KindAttempt Kind = "attempt"
 	// KindStage1Probe reports one first-stage Best Fit scan: Tenant,
-	// Replica, Probes (mature bins actually subjected to the m-fit test —
-	// bins rejected by the cached slack filters and whole level buckets
-	// skipped by the slack-pruned index contribute nothing, so the count
-	// measures real m-fit work), Server (the chosen bin, or -1 when no
-	// mature bin m-fits and the tenant falls through to the second stage).
+	// Replica, Probes (mature bins actually subjected to the m-fit test,
+	// in Best-Fit order up to the chosen bin — bins rejected by the cached
+	// slack filter and subtrees pruned by the index's slack maxima
+	// contribute nothing, so the count measures real m-fit work), Server
+	// (the chosen bin, or -1 when no mature bin m-fits and the tenant
+	// falls through to the second stage).
 	KindStage1Probe Kind = "stage1_probe"
 	// KindStage1Place reports a replica placed into a mature bin by the
 	// first stage: Tenant, Replica, Server, Size, Level (server level
