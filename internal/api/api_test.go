@@ -28,27 +28,37 @@ func newServer(t *testing.T) *httptest.Server {
 
 func doJSON(t *testing.T, method, url string, body any, out any) int {
 	t.Helper()
+	code, err := tryJSON(method, url, body, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code
+}
+
+// tryJSON is doJSON returning its error instead of failing the test, for
+// goroutines other than the test's own.
+func tryJSON(method, url string, body any, out any) (int, error) {
 	var buf bytes.Buffer
 	if body != nil {
 		if err := json.NewEncoder(&buf).Encode(body); err != nil {
-			t.Fatal(err)
+			return 0, err
 		}
 	}
 	req, err := http.NewRequest(method, url, &buf)
 	if err != nil {
-		t.Fatal(err)
+		return 0, err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return 0, err
 	}
 	defer resp.Body.Close()
 	if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("%s %s: decode: %v", method, url, err)
+			return 0, fmt.Errorf("%s %s: decode: %w", method, url, err)
 		}
 	}
-	return resp.StatusCode
+	return resp.StatusCode, nil
 }
 
 func TestHealthz(t *testing.T) {

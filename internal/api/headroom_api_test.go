@@ -1,11 +1,13 @@
 package api
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -26,6 +28,57 @@ func newHeadroomController(t *testing.T) (*Controller, *httptest.Server) {
 	srv := httptest.NewServer(c.Handler())
 	t.Cleanup(srv.Close)
 	return c, srv
+}
+
+// scrapeGauges fetches GET /metrics and returns every unlabelled sample
+// by metric name.
+func scrapeGauges(url string) (map[string]float64, error) {
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET /metrics: status %d", resp.StatusCode)
+	}
+	vals := make(map[string]float64)
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "#") || strings.Contains(line, "{") {
+			continue
+		}
+		name, raw, ok := strings.Cut(line, " ")
+		if !ok {
+			continue
+		}
+		v, err := strconv.ParseFloat(raw, 64)
+		if err != nil {
+			return nil, fmt.Errorf("metric %s: %v", name, err)
+		}
+		vals[name] = v
+	}
+	return vals, sc.Err()
+}
+
+// headroomGaugesMatch reports how the exported headroom gauges differ
+// from the auditor summary (empty when they agree).
+func headroomGaugesMatch(vals map[string]float64, s headroom.Summary) []string {
+	want := map[string]float64{
+		"cubefit_headroom_min_slack":                 s.MinSlack,
+		"cubefit_headroom_p50_slack":                 s.P50Slack,
+		"cubefit_headroom_redline":                   s.RedLine,
+		"cubefit_headroom_below_redline":             float64(s.BelowRedLine),
+		"cubefit_headroom_overloaded_servers":        float64(s.Overloaded),
+		"cubefit_headroom_overload_on_failure_total": float64(s.OverloadEvents),
+	}
+	var diffs []string
+	for name, w := range want {
+		if got, ok := vals[name]; !ok || got != w {
+			diffs = append(diffs, fmt.Sprintf("%s = %v (present %v), want %v", name, got, ok, w))
+		}
+	}
+	return diffs
 }
 
 func TestHeadroomEndpoint(t *testing.T) {
@@ -187,6 +240,19 @@ func TestHeadroomMetricsExported(t *testing.T) {
 	if code := doJSON(t, "DELETE", srv.URL+"/v1/tenants/2", nil, nil); code != http.StatusNoContent {
 		t.Fatal("remove failed")
 	}
+	// A scrape computes the gauges it serves, with no health loop running:
+	// the headroom gauges equal the auditor's summary of the current
+	// placement and the process gauges are live.
+	vals, err := scrapeGauges(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diffs := headroomGaugesMatch(vals, c.auditor.Summary()); len(diffs) > 0 {
+		t.Fatalf("exported gauges diverge from the auditor:\n%s", strings.Join(diffs, "\n"))
+	}
+	if g := vals["cubefit_process_goroutines"]; g <= 0 {
+		t.Fatalf("cubefit_process_goroutines = %v, want > 0", g)
+	}
 	c.SetHeadroomRedLine(0.25)
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -218,14 +284,27 @@ func TestHeadroomMetricsExported(t *testing.T) {
 	}
 }
 
-// TestHeadroomConcurrent hammers the headroom routes while admissions and
-// departures mutate the placement; run under -race this is the acceptance
-// check that the auditor is safe beside the controller's RWMutex. The
-// final state must still agree with the exhaustive reference.
+// TestHeadroomConcurrent hammers every headroom reader — the
+// /debug/headroom routes, GET /metrics and the sampler tick — while single
+// and batch admissions and departures mutate the placement. Run under
+// -race it is the acceptance check that the auditor and the gauges
+// computed on read are safe beside the controller's RWMutex; CI repeats
+// it with a timeout, so a lock-order deadlock between the sampler hook and
+// the placer fails instead of hanging. The final audit must agree with
+// the exhaustive reference, and the exported gauges and the sampler's
+// last sample with the auditor's summary.
 func TestHeadroomConcurrent(t *testing.T) {
 	c, srv := newHeadroomController(t)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
+	// expect runs one request from a goroutine other than the test's own.
+	expect := func(method, url string, body, out any, want int) error {
+		code, err := tryJSON(method, url, body, out)
+		if err == nil && code != want {
+			err = fmt.Errorf("%s %s: status %d, want %d", method, url, code, want)
+		}
+		return err
+	}
 	for w := 0; w < 4; w++ {
 		w := w
 		wg.Add(1)
@@ -233,15 +312,24 @@ func TestHeadroomConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				id := w*100 + i + 1
-				body := map[string]any{"id": id, "clients": 3 + i}
-				if code := doJSON(t, "POST", srv.URL+"/v1/tenants", body, nil); code != http.StatusCreated {
-					errs <- fmt.Errorf("place %d: status %d", id, code)
+				if err := expect("POST", srv.URL+"/v1/tenants", map[string]any{"id": id, "clients": 3 + i}, nil, http.StatusCreated); err != nil {
+					errs <- err
+					return
+				}
+				batch := map[string]any{"tenants": []map[string]any{
+					{"id": id + 1000, "clients": 1 + i},
+					{"id": id + 2000, "clients": 15 - i},
+				}}
+				if err := expect("POST", srv.URL+"/v1/tenants:batch", batch, nil, http.StatusOK); err != nil {
+					errs <- err
 					return
 				}
 				if i%3 == 2 {
-					if code := doJSON(t, "DELETE", srv.URL+fmt.Sprintf("/v1/tenants/%d", id), nil, nil); code != http.StatusNoContent {
-						errs <- fmt.Errorf("remove %d: status %d", id, code)
-						return
+					for _, gone := range []int{id, id + 1000} {
+						if err := expect("DELETE", srv.URL+fmt.Sprintf("/v1/tenants/%d", gone), nil, nil, http.StatusNoContent); err != nil {
+							errs <- err
+							return
+						}
 					}
 				}
 			}
@@ -255,8 +343,8 @@ func TestHeadroomConcurrent(t *testing.T) {
 				var out struct {
 					headroom.Report
 				}
-				if code := doJSON(t, "GET", srv.URL+"/debug/headroom", nil, &out); code != http.StatusOK {
-					errs <- fmt.Errorf("headroom read: status %d", code)
+				if err := expect("GET", srv.URL+"/debug/headroom", nil, &out, http.StatusOK); err != nil {
+					errs <- err
 					return
 				}
 				for _, e := range out.Servers {
@@ -265,7 +353,15 @@ func TestHeadroomConcurrent(t *testing.T) {
 						return
 					}
 				}
-				doJSON(t, "GET", srv.URL+"/debug/headroom/servers/0", nil, nil)
+				if _, err := tryJSON("GET", srv.URL+"/debug/headroom/servers/0", nil, nil); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := scrapeGauges(srv.URL); err != nil {
+					errs <- err
+					return
+				}
+				c.HealthTick()
 			}
 		}()
 	}
@@ -275,9 +371,27 @@ func TestHeadroomConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Scrape before any other read drains the auditor: the gauges must
+	// already reflect the last mutation.
+	vals, err := scrapeGauges(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep := c.auditor.Report()
 	want := headroom.Exhaustive(c.alg.Placement(), rep.RedLine)
 	if !reflect.DeepEqual(rep, want) {
 		t.Fatalf("post-traffic audit diverged from exhaustive\n got: %+v\nwant: %+v", rep, want)
+	}
+	sum := c.auditor.Summary()
+	if diffs := headroomGaugesMatch(vals, sum); len(diffs) > 0 {
+		t.Fatalf("exported gauges diverge from the auditor:\n%s", strings.Join(diffs, "\n"))
+	}
+	c.HealthTick()
+	pts, ok := c.Health().Timeline("cubefit_headroom_min_slack", 0)
+	if !ok || len(pts) == 0 {
+		t.Fatal("sampler recorded no cubefit_headroom_min_slack series")
+	}
+	if got := pts[len(pts)-1].Value; got != sum.MinSlack {
+		t.Fatalf("sampler's last min-slack sample %v, auditor %v", got, sum.MinSlack)
 	}
 }

@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"sync"
 	"testing"
@@ -246,11 +247,14 @@ func (b *blockingSyncer) Sync() error {
 }
 
 // TestReadyzFlipsOnPlacerStall hangs the placer inside a group commit
-// with admissions queued behind it: the stall watchdog walks the state
-// machine degraded→critical (readiness drops), and releasing the commit
-// drains the queue and restores readiness. The pipeline is driven with
-// direct enqueues so the fake clock is only touched while the placer is
-// provably parked inside Sync.
+// with admissions queued behind it and a departure holding the
+// controller write lock while it waits for the same WAL: the stall
+// watchdog walks the state machine degraded→critical (readiness drops)
+// and GET /metrics still answers, because neither the tick nor the scrape
+// waits on the controller lock. Releasing the commit lets the departure
+// and the queue through and restores readiness. The pipeline is driven
+// with direct enqueues so the fake clock is only touched while the placer
+// is provably parked inside Sync.
 func TestReadyzFlipsOnPlacerStall(t *testing.T) {
 	bs := newBlockingSyncer()
 	cfg := healthTestConfig()
@@ -282,6 +286,20 @@ func TestReadyzFlipsOnPlacerStall(t *testing.T) {
 	for id := 2; id <= 4; id++ {
 		jobs = append(jobs, enqueue(id))
 	}
+	// A departure takes the controller write lock and then waits on the
+	// WAL lock the hung commit holds.
+	departed := make(chan error, 1)
+	go func() {
+		code, err := tryJSON("DELETE", srv.URL+"/v1/tenants/1", nil, nil)
+		if err == nil && code != http.StatusNoContent {
+			err = fmt.Errorf("DELETE during the hung commit = %d, want 204", code)
+		}
+		departed <- err
+	}()
+	for ctrl.mu.TryRLock() {
+		ctrl.mu.RUnlock()
+		time.Sleep(time.Millisecond)
+	}
 
 	tick := func() { fake.Advance(time.Second); ctrl.HealthTick() }
 
@@ -300,9 +318,16 @@ func TestReadyzFlipsOnPlacerStall(t *testing.T) {
 	if len(st.Findings) != 1 || st.Findings[0].Rule != "placer-stall" {
 		t.Fatalf("findings = %+v", st.Findings)
 	}
+	if _, err := scrapeGauges(srv.URL); err != nil {
+		t.Fatal(err)
+	}
 
-	// Release the hung commit: the queue drains and every admission lands.
+	// Release the hung commit: the departure and the queue drain and every
+	// admission lands.
 	close(bs.release)
+	if err := <-departed; err != nil {
+		t.Fatal(err)
+	}
 	for i, job := range jobs {
 		<-job.done
 		if s := job.items[0].status; s != http.StatusCreated {

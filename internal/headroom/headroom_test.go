@@ -364,9 +364,10 @@ func TestContributors(t *testing.T) {
 	}
 }
 
-// TestSummaryMatchesReport: the allocation-light Summary the service
-// layer polls after every group commit must agree with the full Report
-// at every step of a mixed admit/depart run.
+// TestSummaryMatchesReport: the allocation-light Summary, and
+// LastSummary right after a Drain (what the service layer reads on every
+// scrape), must agree with the full Report at every step of a mixed
+// admit/depart run.
 func TestSummaryMatchesReport(t *testing.T) {
 	cf, err := core.New(core.Config{Gamma: 3, K: 6})
 	if err != nil {
@@ -393,7 +394,12 @@ func TestSummaryMatchesReport(t *testing.T) {
 				live = append(live, id)
 			}
 		}
+		a.Drain()
+		last := a.LastSummary()
 		s := a.Summary()
+		if last != s {
+			t.Fatalf("op %d: LastSummary after Drain %+v, Summary %+v", op, last, s)
+		}
 		rep := a.Report()
 		_, _, _, events := a.Aggregates()
 		want := headroom.Summary{
