@@ -17,7 +17,12 @@
 // amortizes, exactly as a deployment would see them. With -url it instead
 // drives an already-running server. With -wal the self-hosted controller
 // group-commits every admission to a write-ahead log, measuring the
-// durable path.
+// durable path: each mode boots from the log as `cubefit-server -wal`
+// does (recover, truncate a torn tail, reopen for append), tenant IDs are
+// salted so they cannot collide with the tenants the log already holds,
+// and after the last mode the log is recovered once more, failing the run
+// unless it holds exactly the tenants it held at start plus every
+// admission the run acked.
 //
 // Modes: "single" admits one tenant per POST /v1/tenants request, "batch"
 // admits -batch tenants per POST /v1/tenants:batch request, and "both"
@@ -67,6 +72,8 @@ import (
 	"cubefit/internal/api"
 	"cubefit/internal/core"
 	"cubefit/internal/obs"
+	"cubefit/internal/packing"
+	"cubefit/internal/recovery"
 	"cubefit/internal/stats"
 	"cubefit/internal/workload"
 )
@@ -109,6 +116,7 @@ type config struct {
 type result struct {
 	name      string
 	tenants   int           // admitted tenants
+	firstID   int64         // they are IDs firstID..firstID+tenants-1
 	requests  int           // HTTP round trips
 	elapsed   time.Duration // wall clock, first send to last ack
 	latencies []float64     // per-request ns
@@ -186,8 +194,8 @@ func run(args []string, stdout io.Writer) (err error) {
 	if cfg.minSpeedup > 0 && cfg.mode != "both" {
 		return errors.New("-minspeedup requires -mode both")
 	}
-	if cfg.url != "" && (!cfg.trace || cfg.spans != "") {
-		return errors.New("-trace and -spans configure the in-process controller; they cannot apply to -url targets")
+	if cfg.url != "" && (!cfg.trace || cfg.spans != "" || cfg.wal != "") {
+		return errors.New("-trace, -spans and -wal configure the in-process controller; they cannot apply to -url targets")
 	}
 	if cfg.spans != "" && !cfg.trace {
 		return errors.New("-spans requires tracing (-trace)")
@@ -211,6 +219,16 @@ func run(args []string, stdout io.Writer) (err error) {
 		}()
 	}
 
+	// The tenants the log holds before the run, which the recovered fleet
+	// must still hold at its end.
+	var held []packing.Tenant
+	if cfg.wal != "" {
+		cf, _, err := recovery.FromFile(cfg.wal, cfg.engineConfig())
+		if err != nil {
+			return fmt.Errorf("wal recovery: %w", err)
+		}
+		held = cf.Placement().Tenants()
+	}
 	var results []result
 	if cfg.mode == "single" || cfg.mode == "both" {
 		r, err := runMode(cfg, false)
@@ -225,6 +243,11 @@ func run(args []string, stdout io.Writer) (err error) {
 			return err
 		}
 		results = append(results, r)
+	}
+	if cfg.wal != "" {
+		if err := checkRecovered(cfg, held, results); err != nil {
+			return err
+		}
 	}
 	for _, r := range results {
 		p50, p99 := latencyPercentiles(r.latencies)
@@ -281,18 +304,31 @@ type selfhosted struct {
 	ctrl *api.Controller
 }
 
+func (cfg config) engineConfig() core.Config { return core.Config{Gamma: cfg.gamma, K: cfg.k} }
+
 func newSelfhosted(cfg config) (*selfhosted, error) {
-	cf, err := core.New(core.Config{Gamma: cfg.gamma, K: cfg.k})
-	if err != nil {
-		return nil, err
-	}
-	var opts []api.Option
+	var (
+		cf   *core.CubeFit
+		err  error
+		opts []api.Option
+	)
 	if cfg.wal != "" {
+		// Boot as `cubefit-server -wal` does: recover the engine, cut a
+		// torn final record, reopen the log for append.
+		var st recovery.Stats
+		if cf, st, err = recovery.FromFile(cfg.wal, cfg.engineConfig()); err != nil {
+			return nil, fmt.Errorf("wal recovery: %w", err)
+		}
+		if _, err := obs.TruncateWAL(cfg.wal, st.CommittedBytes); err != nil {
+			return nil, err
+		}
 		w, err := obs.OpenWAL(cfg.wal)
 		if err != nil {
 			return nil, err
 		}
 		opts = append(opts, api.WithWAL(w))
+	} else if cf, err = core.New(cfg.engineConfig()); err != nil {
+		return nil, err
 	}
 	if !cfg.trace {
 		opts = append(opts, api.WithoutSpanTracing())
@@ -441,10 +477,11 @@ func runMode(cfg config, batched bool) (result, error) {
 	if batched {
 		name = "batch"
 	}
-	// Unique IDs per run; a live server keeps state across modes, so salt
-	// with the current time to avoid 409s between invocations.
+	// Unique IDs per run; a live server, and a log booted again for every
+	// mode, keep state across modes, so salt with the current time to
+	// avoid 409s between modes and invocations.
 	var base int64
-	if cfg.url != "" {
+	if cfg.url != "" || cfg.wal != "" {
 		base = time.Now().UnixNano() % (1 << 40)
 	}
 	var next atomic.Int64
@@ -521,12 +558,42 @@ func runMode(cfg config, batched bool) (result, error) {
 	return result{
 		name:      name,
 		tenants:   cfg.ops,
+		firstID:   base,
 		requests:  int(requests.Load()),
 		elapsed:   elapsed,
 		latencies: merged,
 		stages:    stages,
 		health:    hs,
 	}, nil
+}
+
+// checkRecovered recovers the log once more after the last mode, which
+// also validates the placement: the fleet must be exactly the tenants held
+// at start plus every admission the modes acked.
+func checkRecovered(cfg config, held []packing.Tenant, results []result) error {
+	cf, _, err := recovery.FromFile(cfg.wal, cfg.engineConfig())
+	if err != nil {
+		return fmt.Errorf("wal recovery after the run: %w", err)
+	}
+	p := cf.Placement()
+	want := len(held)
+	for _, t := range held {
+		if _, ok := p.Tenant(t.ID); !ok {
+			return fmt.Errorf("wal recovery after the run: tenant %d, held at start, is gone", t.ID)
+		}
+	}
+	for _, r := range results {
+		want += r.tenants
+		for id := r.firstID; id < r.firstID+int64(r.tenants); id++ {
+			if _, ok := p.Tenant(packing.TenantID(id)); !ok {
+				return fmt.Errorf("wal recovery after the run: %s admission of tenant %d was acked but is not in the log", r.name, id)
+			}
+		}
+	}
+	if got := p.NumTenants(); got != want {
+		return fmt.Errorf("wal recovery after the run: %d tenants, want %d held at start plus acked", got, want)
+	}
+	return nil
 }
 
 // encodeRequest builds the admission body for tenant IDs [lo, hi). Client

@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"cubefit/internal/core"
 	"cubefit/internal/obs"
+	"cubefit/internal/recovery"
 )
 
 func TestRunBothWritesReport(t *testing.T) {
@@ -200,6 +202,28 @@ func TestRunWALMode(t *testing.T) {
 	}
 }
 
+// TestRunWALTwiceRecovers: two runs of both modes on one log append four
+// histories to it, and the log still boots into all of their acked
+// admissions.
+func TestRunWALTwiceRecovers(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "wal.jsonl")
+	for i := 0; i < 2; i++ {
+		if err := run([]string{"-ops", "150", "-batch", "16", "-workers", "2", "-health=false", "-wal", walPath}, new(bytes.Buffer)); err != nil {
+			t.Fatalf("run %d: %v", i+1, err)
+		}
+	}
+	cf, st, err := recovery.FromFile(walPath, core.Config{Gamma: 2, K: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cf.Placement().NumTenants(); n != 4*150 || st.Admitted != 4*150 || st.Rejected != 0 {
+		t.Fatalf("recovered %d tenants (%+v), want the 600 admissions of four modes", n, st)
+	}
+	if err := cf.Placement().Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRunGateFails(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{"-ops", "200", "-batch", "16", "-minspeedup", "1e9"}, &buf)
@@ -217,6 +241,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-mode", "single", "-minspeedup", "2"},
 		{"-url", "http://localhost:1", "-trace=false"},
 		{"-url", "http://localhost:1", "-spans", "x.jsonl"},
+		{"-url", "http://localhost:1", "-wal", "x.jsonl"},
 		{"-spans", "x.jsonl", "-trace=false"},
 	} {
 		if err := run(args, new(bytes.Buffer)); err == nil {

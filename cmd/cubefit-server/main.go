@@ -64,17 +64,22 @@
 // -health-log streams every tick's samples and every state transition as
 // JSONL for offline replay with `cubefit-inspect health`.
 //
-// Durability: with -wal the decision stream doubles as a write-ahead log,
-// one append-only file written through one commit path. At boot the
-// server replays the log into a fresh engine (recovery.FromFile),
-// cross-checks the rebuilt placement against an independent event-level
-// replay and the robustness validator, truncates the uncommitted suffix,
-// and refuses to serve from a log that does not replay cleanly. It also
-// refuses to boot while segment files of the retired sharded log format
-// (<path>.seg0, <path>.seg1, …) sit beside the log: their history would
-// otherwise be silently ignored. Each coalesced admission batch and each
-// departure is group-committed (flushed and fsynced) to the log before it
-// is acked; if the log cannot commit, mutations fail closed with 503.
+// Durability: with -wal the server keeps a write-ahead operation log, one
+// append-only file written through one commit path: after a format header,
+// one record per admission (tenant, load, clients, the host of each
+// replica), rejected admission or departure. At boot the server replays
+// the log into a fresh engine (recovery.FromFile), checks every replayed
+// admission against its logged hosts and the rebuilt placement against
+// the robustness validator, truncates a torn final record, and refuses to
+// serve from a log that does not replay cleanly or is not in this format
+// (logs of the decision-event format of earlier releases are refused;
+// there is no migration). It also refuses to boot while segment files of
+// the retired sharded log format (<path>.seg0, <path>.seg1, …) sit beside
+// the log: their history would otherwise be silently ignored. Each
+// coalesced admission batch and each departure is group-committed
+// (flushed and fsynced) to the log before it is acked; if the log cannot
+// commit, mutations fail closed with 503. The decision stream itself is
+// not logged: it stays available at GET /debug/events.
 //
 // On SIGINT/SIGTERM the server marks itself draining (GET /readyz flips
 // to 503 so load balancers stop routing new traffic), stops accepting new
@@ -258,18 +263,14 @@ func newServer(args []string) (*http.Server, options, error) {
 		slog.Info("wal recovered", "path", *walPath,
 			"events", rstats.Events, "admitted", rstats.Admitted,
 			"rejected", rstats.Rejected, "departed", rstats.Departed,
-			"dropped", rstats.Dropped, "torn", rstats.Torn,
-			"tenants", cf.Placement().NumTenants())
-		// Cut the uncommitted suffix before appending. Complete event
-		// lines past the last committed admit/reject/depart (left by a
-		// bufio auto-flush that outran its group commit) and any torn
-		// partial record were dropped by recovery; left in the file, fresh
-		// records would append after them and the next boot would read an
-		// interleaved, unreplayable log.
+			"torn", rstats.Torn, "tenants", cf.Placement().NumTenants())
+		// Cut a torn final record before appending: recovery dropped it,
+		// and left in the file, fresh records would append after it and
+		// the next boot would read a corrupt line.
 		if trimmed, terr := obs.TruncateWAL(*walPath, rstats.CommittedBytes); terr != nil {
 			return nil, options{}, fmt.Errorf("wal truncate: %w", terr)
 		} else if trimmed > 0 {
-			slog.Info("wal uncommitted suffix truncated", "path", *walPath, "bytes", trimmed)
+			slog.Info("wal torn tail truncated", "path", *walPath, "bytes", trimmed)
 		}
 		wal, werr := obs.OpenWAL(*walPath)
 		if werr != nil {

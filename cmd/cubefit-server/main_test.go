@@ -468,11 +468,11 @@ func TestWALBootCycle(t *testing.T) {
 }
 
 // TestWALBootCycleAfterUncommittedSuffix is the crash-then-restart-twice
-// regression: a crash can leave complete-but-uncommitted event lines in
-// the log (a bufio auto-flush without its closing admit). The first boot
-// must drop AND truncate them — if it only dropped them, its own appended
-// records would land after the stale suffix and the second boot would
-// read an interleaved log and refuse to start.
+// regression: a crash can leave the final record half written (a flush cut
+// short, its admission never acked). The first boot must drop AND
+// truncate it — if it only dropped it, its own appended records would
+// land after the partial line and the second boot would read a corrupt
+// record and refuse to start.
 func TestWALBootCycleAfterUncommittedSuffix(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "wal.jsonl")
 	args := []string{"-wal", walPath, "-gamma", "2", "-k", "10"}
@@ -498,31 +498,20 @@ func TestWALBootCycleAfterUncommittedSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulate the crash: an attempt and a partial placement reached the
-	// file as complete lines, the closing admit never did.
+	// Simulate the crash: the next admission's record reached the file
+	// only in part.
 	f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := obs.NewEvent(obs.KindAttempt)
-	open.Tenant = 777
-	open.Size = 0.4
-	place := obs.NewEvent(obs.KindStage1Place)
-	place.Tenant = 777
-	place.Replica = 0
-	place.Server = 0
-	place.Size = 0.4
-	enc := json.NewEncoder(f)
-	for _, e := range []obs.Event{open, place} {
-		if err := enc.Encode(e); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := f.WriteString(`{"op":"admit","tenant":777,"load":0.4,"clients":0,"hosts":[3`); err != nil {
+		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Boot 2 recovers (dropping the suffix) and keeps admitting.
+	// Boot 2 recovers (dropping the torn record) and keeps admitting.
 	srv2, opts2, err := newServer(args)
 	if err != nil {
 		t.Fatalf("boot after crash: %v", err)
@@ -544,7 +533,7 @@ func TestWALBootCycleAfterUncommittedSuffix(t *testing.T) {
 	}
 
 	// Boot 3 is the regression: the log must still replay cleanly after
-	// boot 2 appended past the (now truncated) uncommitted suffix.
+	// boot 2 appended past the (now truncated) torn record.
 	srv3, opts3, err := newServer(args)
 	if err != nil {
 		t.Fatalf("second restart refused the log: %v", err)
@@ -561,15 +550,33 @@ func TestWALBootCycleAfterUncommittedSuffix(t *testing.T) {
 }
 
 // TestWALBootRefusesBadLog: a server must not serve from a log that does
-// not replay cleanly, nor from one whose history may sit in segment files
+// not replay cleanly, nor from one in the decision-event format of
+// earlier releases, nor from one whose history may sit in segment files
 // of the retired sharded format.
 func TestWALBootRefusesBadLog(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "wal.jsonl")
-	if err := os.WriteFile(walPath, []byte("{\"kind\":\"admit\",\"tenant\":1}\nnot json\n{\"kind\":\"admit\",\"tenant\":2}\n"), 0o644); err != nil {
+	corrupt := obs.WALHeader + `{"op":"depart","tenant":1}` + "\nnot json\n" + `{"op":"depart","tenant":2}` + "\n"
+	if err := os.WriteFile(walPath, []byte(corrupt), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := newServer([]string{"-wal", walPath}); err == nil {
 		t.Fatal("server booted from a corrupt log")
+	}
+
+	// A log of the old format: each line a JSON decision event. Boot names
+	// the format it expects and leaves the log as it was: no migration.
+	oldPath := filepath.Join(t.TempDir(), "old.jsonl")
+	old := `{"seq":1,"time":"2026-01-01T00:00:00Z","engine":"cubefit","kind":"attempt","tenant":1,"replica":-1,"server":-1,"slot":-1,"class":-1,"counter":-1,"size":0.3}` + "\n" +
+		`{"seq":2,"time":"2026-01-01T00:00:00Z","engine":"cubefit","kind":"admit","tenant":1,"replica":-1,"server":-1,"slot":-1,"class":-1,"counter":-1,"path":"regular"}` + "\n"
+	if err := os.WriteFile(oldPath, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := newServer([]string{"-wal", oldPath})
+	if err == nil || !strings.Contains(err.Error(), "cubefit-ops version 1") {
+		t.Fatalf("boot from an old-format log: %v, want an error naming the cubefit-ops version 1 format", err)
+	}
+	if data, rerr := os.ReadFile(oldPath); rerr != nil || string(data) != old {
+		t.Fatalf("refused boot changed the old-format log (%v)", rerr)
 	}
 
 	// Leftover segments and no single-file log at all: recovery alone
@@ -580,7 +587,7 @@ func TestWALBootRefusesBadLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, _, err := newServer([]string{"-wal", segWAL})
+	_, _, err = newServer([]string{"-wal", segWAL})
 	if err == nil {
 		t.Fatal("server booted beside leftover sharded-log segment files")
 	}

@@ -81,6 +81,9 @@ func TestRealTreeHotpathAnnotationsPresent(t *testing.T) {
 		// The pooled event seam every emission crosses.
 		"cubefit/internal/obs.AcquireEvent",
 		"cubefit/internal/obs.ReleaseEvent",
+		// The write-ahead log's record encoder, run for every operation
+		// under the controller lock.
+		"cubefit/internal/obs.appendOp",
 		// The pooled admission-span seam and its ring recorder.
 		"cubefit/internal/obs.AcquireSpan",
 		"cubefit/internal/obs.ReleaseSpan",
@@ -115,6 +118,8 @@ func TestRealTreeGuardedByAnnotationsPresent(t *testing.T) {
 	}
 	want := map[string]string{
 		"cubefit/internal/obs.WAL.bw":            "mu",
+		"cubefit/internal/obs.WAL.op":            "mu",
+		"cubefit/internal/obs.WAL.buf":           "mu",
 		"cubefit/internal/obs.WAL.n":             "mu",
 		"cubefit/internal/obs.WAL.synced":        "mu",
 		"cubefit/internal/obs.WAL.err":           "mu",

@@ -17,10 +17,12 @@
 // by GET /v1/placement is cached between mutations so hot readers do not
 // rebuild it per request.
 //
-// Durability: with a write-ahead log attached (WithWAL), the decision
-// event stream is group-committed — buffered, flushed, and synced once
-// per coalesced batch — before any admission in the batch is acked, and
-// internal/recovery rebuilds the exact acked state from the log on boot.
+// Durability: with a write-ahead log attached (WithWAL), the log records
+// every operation the decision event stream closes — one record per
+// admission, rejected admission or departure — and is group-committed —
+// buffered, flushed, and synced once per coalesced batch — before any
+// admission in the batch is acked, and internal/recovery rebuilds the
+// exact acked state from the log on boot.
 // There is one commit path: the placer admits a coalesced batch under the
 // write lock and syncs the single log file before releasing any of its
 // handlers (placeJobs); a departure syncs the same file before its 204.
@@ -172,12 +174,15 @@ type Controller struct {
 // Option configures a Controller beyond its required dependencies.
 type Option func(*Controller)
 
-// WithWAL attaches a write-ahead log: the decision event stream is
-// recorded to it and group-committed before admissions are acked, and a
-// sink error disables the admission path (fail closed) instead of
-// dropping events. Requires a recordable algorithm that also implements
-// Remover, so a failed commit can be rolled back. The controller takes
-// ownership: Close performs the final commit and closes the log.
+// WithWAL attaches a write-ahead log as the last recorder of the decision
+// event stream: *obs.WAL keeps one record per operation the stream
+// closes (admission, rejected admission, departure), group-committed
+// before admissions are acked, and a log error disables the admission
+// path (fail closed) instead of dropping operations. The rest of the
+// stream stays in the event ring behind GET /debug/events. Requires a
+// recordable algorithm that also implements Remover, so a failed commit
+// can be rolled back. The controller takes ownership: Close performs the
+// final commit and closes the log.
 func WithWAL(w obs.CommitLog) Option {
 	return func(c *Controller) { c.wal = w }
 }
@@ -568,7 +573,7 @@ func (c *Controller) handleRemoveTenant(w http.ResponseWriter, r *http.Request) 
 	// Departures are durable before they are acked, like admissions.
 	if c.wal != nil {
 		if werr := c.wal.Sync(); werr != nil {
-			// The depart event may not have reached stable storage, so the
+			// The depart record may not have reached stable storage, so the
 			// removal cannot be acked: re-admit the tenant and report 503,
 			// mirroring placeJobs' rollback, so reads keep serving the state
 			// the client was told. (If the flush landed but the fsync

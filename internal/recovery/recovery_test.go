@@ -87,7 +87,7 @@ func TestRebuildReproducesExactState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Admitted != 45 || st.Rejected != 2 || st.Departed != 3 || st.Dropped != 0 {
+	if st.Admitted != 45 || st.Rejected != 2 || st.Departed != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if got, want := trace.Capture(rebuilt.Placement()), trace.Capture(live.Placement()); !reflect.DeepEqual(got, want) {
@@ -114,6 +114,9 @@ func TestRebuildReproducesExactState(t *testing.T) {
 	}
 }
 
+// TestRebuildDropsUncommittedTail: an admission whose attempt never
+// closed, as a decision stream cut mid-admission ends, is not an
+// operation: Rebuild leaves it out.
 func TestRebuildDropsUncommittedTail(t *testing.T) {
 	cfg := core.Config{Gamma: 2, K: 10}
 	var buf bytes.Buffer
@@ -126,8 +129,6 @@ func TestRebuildDropsUncommittedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A crash mid-admission: the attempt (and a partial placement) hit the
-	// log but the closing admit never did. Recovery must not ack it.
 	open := obs.NewEvent(obs.KindAttempt)
 	open.Tenant = 777
 	open.Size = 0.4
@@ -142,8 +143,8 @@ func TestRebuildDropsUncommittedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Dropped != 2 {
-		t.Fatalf("Dropped = %d, want 2", st.Dropped)
+	if st.Admitted != 45 || st.Rejected != 2 {
+		t.Fatalf("stats = %+v", st)
 	}
 	if _, exists := rebuilt.Placement().Tenant(777); exists {
 		t.Fatal("uncommitted admission resurrected by recovery")
@@ -183,9 +184,9 @@ func TestFromFileTornTail(t *testing.T) {
 }
 
 // TestFromFileCommittedBytes: recovery reports the byte offset of the
-// committed prefix, and truncating the file there removes an uncommitted
-// suffix of complete event lines (a bufio auto-flush that outran its
-// group commit) so the log replays cleanly on the following boot.
+// last whole record, or of the header when no record follows it, and
+// truncating the file there removes a torn record so the log replays
+// cleanly, with new records appended, on the following boot.
 func TestFromFileCommittedBytes(t *testing.T) {
 	cfg := core.Config{Gamma: 2, K: 10}
 	var buf bytes.Buffer
@@ -195,22 +196,8 @@ func TestFromFileCommittedBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	committedSize := int64(buf.Len())
-	// Crash mid-admission after an auto-flush: the attempt and a partial
-	// placement are complete lines in the file, the closing admit is not.
-	open := obs.NewEvent(obs.KindAttempt)
-	open.Tenant = 777
-	open.Size = 0.4
-	place := obs.NewEvent(obs.KindStage1Place)
-	place.Tenant = 777
-	place.Replica = 0
-	place.Server = 0
-	place.Size = 0.4
-	suffixed := obs.NewWAL(&buf)
-	suffixed.Record(open)
-	suffixed.Record(place)
-	if err := suffixed.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	// A crash mid-flush: the next record reached the file only in part.
+	buf.WriteString(`{"op":"admit","tenant":777,"load":0.4,"clients":3,"hos`)
 
 	path := filepath.Join(t.TempDir(), "wal.jsonl")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -220,30 +207,51 @@ func TestFromFileCommittedBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Dropped != 2 {
-		t.Fatalf("Dropped = %d, want 2", st.Dropped)
-	}
-	if st.CommittedBytes != committedSize {
-		t.Fatalf("CommittedBytes = %d, want %d", st.CommittedBytes, committedSize)
+	if !st.Torn || st.CommittedBytes != committedSize {
+		t.Fatalf("Torn = %v, CommittedBytes = %d, want true, %d", st.Torn, st.CommittedBytes, committedSize)
 	}
 	if _, exists := cf.Placement().Tenant(777); exists {
-		t.Fatal("uncommitted admission resurrected by recovery")
+		t.Fatal("torn admission resurrected by recovery")
 	}
 
-	// The boot sequence truncates there; the trimmed log then recovers to
-	// the same state with nothing dropped — the next boot is clean.
+	// The boot sequence truncates there and appends; the next boot reads
+	// the whole log back, the new record included.
 	if trimmed, err := obs.TruncateWAL(path, st.CommittedBytes); err != nil || trimmed == 0 {
 		t.Fatalf("TruncateWAL: trimmed %d, err %v", trimmed, err)
+	}
+	reopened, err := obs.OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf.SetRecorder(reopened)
+	if err := cf.Place(packing.Tenant{ID: 777, Load: 0.4, Clients: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := reopened.Close(); err != nil {
+		t.Fatal(err)
 	}
 	cf2, st2, err := FromFile(path, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Dropped != 0 || st2.CommittedBytes != committedSize {
-		t.Fatalf("after truncation: %+v", st2)
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.Torn || st2.CommittedBytes != info.Size() || st2.Admitted != st.Admitted+1 {
+		t.Fatalf("after truncation and append: %+v, file %d bytes", st2, info.Size())
 	}
 	if got, want := trace.Capture(cf2.Placement()), trace.Capture(cf.Placement()); !reflect.DeepEqual(got, want) {
-		t.Fatal("truncated log recovers a different state")
+		t.Fatal("truncated and appended log recovers a different state")
+	}
+
+	// A log holding only its header commits the header.
+	headerOnly := filepath.Join(t.TempDir(), "header.jsonl")
+	if err := os.WriteFile(headerOnly, []byte(obs.WALHeader), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, st, err := FromFile(headerOnly, cfg); err != nil || st.Torn || st.CommittedBytes != int64(len(obs.WALHeader)) {
+		t.Fatalf("header-only log: %+v, %v", st, err)
 	}
 }
 
