@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-build lint lint-json test test-short race bench bench-compare loadtest loadtest-compare loadtest-wal loadtest-trace loadtest-health healthcheck profile cover experiments figure5 figure6 table1 theorem2 fmt
+.PHONY: all build vet vet-build lint lint-json test test-short race bench bench-compare loadtest loadtest-compare loadtest-wal loadtest-trace loadtest-health healthcheck perf profile cover experiments figure5 figure6 table1 theorem2 fmt
 
 all: build vet lint test
 
@@ -150,6 +150,20 @@ healthcheck:
 	sleep 1; \
 	kill -TERM $$pid; wait $$pid; \
 	./bin/cubefit-inspect health -log HEALTH_smoke.jsonl
+
+# The per-layer microbenchmark ledger: fleet-scale engine admissions with
+# their heap bytes per tenant, the recorder-free admit/depart cycle, the
+# log's per-record encode and a 10k-tenant recovery, each repeated
+# PERF_COUNT times with allocation counts, into perf.out. Nothing is gated
+# on it; compare two commits' files with benchstat or by eye.
+PERF_COUNT ?= 5
+perf:
+	@set -e; { \
+	$(GO) test -run '^$$' -bench '^(BenchmarkPlaceFleet|BenchmarkPlaceNoRecorder)$$' -count $(PERF_COUNT) -benchmem ./internal/core/; \
+	$(GO) test -run '^$$' -bench '^BenchmarkWALRecord$$' -count $(PERF_COUNT) -benchmem ./internal/obs/; \
+	$(GO) test -run '^$$' -bench '^BenchmarkRecoverFleet$$/^tenants10000$$' -count $(PERF_COUNT) -benchmem ./internal/recovery/; \
+	} > perf.out
+	@cat perf.out
 
 # CPU and allocation profiles of a representative consolidation run;
 # inspect with `go tool pprof cpu.prof` / `go tool pprof mem.prof`.

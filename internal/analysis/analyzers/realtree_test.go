@@ -59,8 +59,7 @@ func TestRealTreeHotpathAnnotationsPresent(t *testing.T) {
 		"cubefit/internal/core.CubeFit.placedHosts",
 		"cubefit/internal/core.CubeFit.mFits",
 		"cubefit/internal/core.topSharedAdjusted",
-		"cubefit/internal/core.CubeFit.addRef",
-		"cubefit/internal/core.CubeFit.releaseRefs",
+		"cubefit/internal/core.hostsTenant",
 		"cubefit/internal/core.CubeFit.placeAtCursor",
 		"cubefit/internal/core.CubeFit.advance",
 		"cubefit/internal/core.CubeFit.refreshBin",
@@ -94,7 +93,11 @@ func TestRealTreeHotpathAnnotationsPresent(t *testing.T) {
 		"cubefit/internal/api.pipelineTracer.enqueued",
 		"cubefit/internal/api.pipelineTracer.dequeued",
 		"cubefit/internal/api.pipelineTracer.finish",
-		// The allocation-free placement accessors the engine leans on.
+		// The allocation-free placement accessors the engine leans on,
+		// and the tenant-row lookup and shared-load update under every
+		// placement mutation.
+		"cubefit/internal/packing.Placement.row",
+		"cubefit/internal/packing.Server.addShared",
 		"cubefit/internal/packing.Placement.ReplicasInto",
 		"cubefit/internal/packing.Placement.TenantHostsInto",
 		"cubefit/internal/packing.Placement.EachTenantHost",

@@ -134,7 +134,10 @@ func (c *Controller) runPlacer() {
 func (c *Controller) admitItemsLocked(jobs []*admitJob) (group int, mutated bool) {
 	tr := c.tracer
 	walDown := c.wal != nil && c.wal.Err() != nil
+	p := c.alg.Placement()
 	for _, job := range jobs {
+		// hosts is the job's one slab of admitted items' servers, γ each.
+		var hosts []int
 		for i := range job.items {
 			it := &job.items[i]
 			if it.status != 0 {
@@ -145,7 +148,7 @@ func (c *Controller) admitItemsLocked(jobs []*admitJob) (group int, mutated bool
 				it.err = "write-ahead log unavailable; admissions disabled"
 				continue
 			}
-			if _, exists := c.alg.Placement().Tenant(it.tenant.ID); exists {
+			if _, exists := p.Tenant(it.tenant.ID); exists {
 				it.status = http.StatusConflict
 				it.err = fmt.Sprintf("tenant %d already placed", it.tenant.ID)
 				continue
@@ -159,7 +162,13 @@ func (c *Controller) admitItemsLocked(jobs []*admitJob) (group int, mutated bool
 				it.err = err.Error()
 			} else {
 				it.status = http.StatusCreated
-				it.servers = c.alg.Placement().TenantHosts(it.tenant.ID)
+				if hosts == nil {
+					hosts = make([]int, 0, p.Gamma()*len(job.items))
+				}
+				// Fills the slab in place: it has room for γ per item.
+				got := p.TenantHostsInto(it.tenant.ID, hosts[len(hosts):])
+				it.servers = got[:len(got):len(got)]
+				hosts = hosts[:len(hosts)+len(got)]
 				group++
 			}
 			if tr != nil && it.span != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"cubefit/internal/packing"
@@ -75,7 +76,7 @@ func BenchmarkBestMFitProbe(b *testing.B) {
 
 // benchMFitsEngine builds a churned engine and returns it together with
 // the candidate bin whose server has the most sharing neighbors — the
-// worst case for the reference shared-map scan, the indifferent case for
+// worst case for the reference shared-load scan, the indifferent case for
 // the digest — and an m-fit probe against it.
 func benchMFitsEngine(b *testing.B, referenceReserve bool) (*CubeFit, *packing.Server, []int, packing.Replica) {
 	cf := benchEngine(b, Config{Gamma: 3, K: 10}, 1000, func(cf *CubeFit) {
@@ -124,7 +125,7 @@ func BenchmarkMFitsCached(b *testing.B) {
 }
 
 // BenchmarkMFitsReference pins the reference m-fit test (cachedReserve
-// cleared): every call rescans the shared maps of the candidate and each
+// cleared): every call rescans the shared loads of the candidate and each
 // earlier host via topSharedAdjusted.
 func BenchmarkMFitsReference(b *testing.B) {
 	cf, srv, earlier, rep := benchMFitsEngine(b, true)
@@ -160,7 +161,8 @@ func BenchmarkTopSharedAdjusted(b *testing.B) {
 
 // BenchmarkPlaceNoRecorder measures a full admit/depart cycle on the
 // default (recorder-detached) hot path; allocs/op here is the number the
-// scratch buffers and ref pool exist to hold down.
+// scratch buffers, the tenant table's row reuse and the bins' slot
+// records exist to hold down.
 func BenchmarkPlaceNoRecorder(b *testing.B) {
 	cf := benchEngine(b, Config{Gamma: 2, K: 10}, 500, nil)
 	r := rng.New(11)
@@ -186,18 +188,24 @@ func BenchmarkPlaceNoRecorder(b *testing.B) {
 // clock, so every timed Place lands on a fleet of N to 1.1·N tenants at
 // any b.N. First-stage cost grows with the logarithm of the fleet, so the
 // 250k point should stay within 2× of the 10k point.
+//
+// heap-B/tenant is the engine's memory ledger: the live heap the first
+// fleet of each size added, after a forced GC, divided by its tenants.
 func BenchmarkPlaceFleet(b *testing.B) {
 	for _, tenants := range []int{10000, 100000, 250000} {
 		// Shared by the b.N rounds and -count repetitions of one size.
 		var (
-			cf    *CubeFit
-			src   *workload.ClientSource
-			grown int
+			cf            *CubeFit
+			src           *workload.ClientSource
+			grown         int
+			heapPerTenant float64
 		)
 		b.Run(fmt.Sprintf("tenants%d", tenants), func(b *testing.B) {
 			b.ReportAllocs()
 			if cf == nil {
+				before := liveHeap()
 				cf, src = fleetEngine(b, tenants)
+				heapPerTenant = float64(liveHeap()-before) / float64(tenants)
 				b.ResetTimer()
 			}
 			for i := 0; i < b.N; i++ {
@@ -212,8 +220,17 @@ func BenchmarkPlaceFleet(b *testing.B) {
 				}
 				grown++
 			}
+			b.ReportMetric(heapPerTenant, "heap-B/tenant")
 		})
 	}
+}
+
+// liveHeap returns the bytes of live heap objects after a forced GC.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // fleetEngine grows a CubeFit fleet of the given size through the

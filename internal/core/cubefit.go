@@ -25,15 +25,10 @@ type CubeFit struct {
 	// (see index.go). Maintained by refreshBin/removeActive.
 	index fitIndex
 	cubes map[cubeKey]*cube
-	// refs records where each tenant's replicas went, for Remove.
-	refs map[packing.TenantID][]slotRef
-	// refPool recycles the per-tenant slotRef slices freed by unwind so
-	// steady-state churn (admit/depart cycles) reuses their backing arrays.
-	refPool [][]slotRef
 
 	// cachedReserve enables the incremental reserve-digest fast path for
 	// m-fit tests and refreshBin (set in New when γ−1 fits the digests;
-	// see reserve.go). When clear, both recompute from the shared maps
+	// see reserve.go). When clear, both recompute from the shared loads
 	// (topSharedAdjusted / packing.TopShared); the parity tests and
 	// benchmarks clear it right after New to use that path as the oracle.
 	cachedReserve bool
@@ -178,7 +173,7 @@ type bin struct {
 	server int
 	// level and slack cache the hosting server's level and usable slack
 	// 1 − level − reserve as of the last refreshBin. refreshBin runs for
-	// every server whose level or shared map changed, so the caches are
+	// every server whose level or shared loads changed, so the caches are
 	// never stale when the first stage reads them.
 	level float64
 	slack float64
@@ -201,6 +196,11 @@ type bin struct {
 	// slots are never represented because they stay empty by construction.
 	slotUsed  []float64
 	slotCount []int
+	// refs records the payload slot of every cube replica the bin hosts,
+	// in no particular order. First-stage replicas take no slot and have
+	// no record. unwind finds a tenant's records through its hosts.
+	refs []slotRef
+
 	closed    int // payload slots the cursor has advanced past
 	mature    bool
 	retired   bool // mature and permanently removed from active (pruned)
@@ -209,13 +209,15 @@ type bin struct {
 	// digest incrementally tracks the server's largest pairwise shared
 	// loads (see reserve.go), fed by the packing shared-load hook; the
 	// cached m-fit path reads reserves from it instead of scanning the
-	// shared map.
+	// server's shared loads.
 	digest topKDigest
 }
 
+// slotRef is a bin's record of one hosted cube replica: its tenant and
+// payload slot.
 type slotRef struct {
-	server int
-	slot   int // payload slot index, or -1 for a first-stage placement
+	tenant packing.TenantID
+	slot   int
 }
 
 // New creates a CubeFit instance for the given configuration.
@@ -236,7 +238,6 @@ func New(cfg Config) (*CubeFit, error) {
 		p:     p,
 		index: fitIndex{root: noBin},
 		cubes: make(map[cubeKey]*cube),
-		refs:  make(map[packing.TenantID][]slotRef),
 		// The cached reserve path answers top-(γ−1) queries from the
 		// per-bin digests; it needs γ−1 ≤ digestSize to be exact. The
 		// digests themselves are maintained unconditionally (the hook
@@ -254,7 +255,7 @@ func New(cfg Config) (*CubeFit, error) {
 //cubefit:hotpath
 func (cf *CubeFit) sharedChanged(server, peer int, value float64) {
 	// Every server is opened by CubeFit itself (binAt), so the bin exists
-	// by the time its shared map first mutates; the bound check is purely
+	// by the time its shared loads first mutate; the bound check is purely
 	// defensive.
 	if server >= 0 && server < len(cf.bins) {
 		cf.bins[server].digest.update(peer, value, cf.p.Server(server))
@@ -397,56 +398,36 @@ func (cf *CubeFit) unwind(id packing.TenantID) {
 	hosts := cf.p.TenantHostsInto(id, cf.hostScratch)
 	cf.hostScratch = hosts
 	// RemoveTenant cannot fail for a registered tenant; every placed
-	// replica recorded in tenantHosts is unplaceable by construction.
+	// replica recorded in its hosts is unplaceable by construction.
 	_ = cf.p.RemoveTenant(id)
-	for _, ref := range cf.refs[id] {
-		b := cf.bins[ref.server]
-		if ref.slot >= 0 {
-			b.slotUsed[ref.slot] -= size
-			if b.slotUsed[ref.slot] < 0 {
-				b.slotUsed[ref.slot] = 0
-			}
-			b.slotCount[ref.slot]--
-		}
-	}
-	cf.releaseRefs(id)
 	for _, h := range hosts {
-		if h >= 0 {
-			cf.refreshBin(cf.bins[h])
+		if h < 0 {
+			continue
 		}
+		b := cf.bins[h]
+		if slot := b.dropRef(id); slot >= 0 {
+			b.slotUsed[slot] -= size
+			if b.slotUsed[slot] < 0 {
+				b.slotUsed[slot] = 0
+			}
+			b.slotCount[slot]--
+		}
+		cf.refreshBin(b)
 	}
 }
 
-// addRef records one placed replica for the tenant, recycling a slotRef
-// slice from the pool for the tenant's first replica.
-//
-//cubefit:hotpath
-func (cf *CubeFit) addRef(id packing.TenantID, ref slotRef) {
-	rs, ok := cf.refs[id]
-	if !ok {
-		if n := len(cf.refPool); n > 0 {
-			rs = cf.refPool[n-1][:0]
-			cf.refPool = cf.refPool[:n-1]
-		} else {
-			//cubefit:vet-allow hotpath -- pool miss only: once departures start returning arrays this branch never runs
-			rs = make([]slotRef, 0, cf.cfg.Gamma)
+// dropRef deletes the bin's record of tenant id's cube replica and returns
+// its payload slot, or -1 when the bin holds no cube replica of the tenant.
+func (b *bin) dropRef(id packing.TenantID) int {
+	for i, ref := range b.refs {
+		if ref.tenant == id {
+			last := len(b.refs) - 1
+			b.refs[i] = b.refs[last]
+			b.refs = b.refs[:last]
+			return ref.slot
 		}
 	}
-	//cubefit:vet-allow hotpath -- rs carries γ capacity from the ref pool; append grows it only on the cold pool-miss path
-	cf.refs[id] = append(rs, ref)
-}
-
-// releaseRefs drops the tenant's replica records and returns their backing
-// array to the pool.
-//
-//cubefit:hotpath
-func (cf *CubeFit) releaseRefs(id packing.TenantID) {
-	if rs, ok := cf.refs[id]; ok {
-		delete(cf.refs, id)
-		if cap(rs) > 0 {
-			cf.refPool = append(cf.refPool, rs[:0])
-		}
-	}
+	return -1
 }
 
 // placeRegular runs the second stage for a class-τ tenant (τ < K).
@@ -518,7 +499,8 @@ func (cf *CubeFit) placeAtCursor(cb *cube, reps []packing.Replica) error {
 		}
 		b.slotUsed[slotIdx] += rep.Size
 		b.slotCount[slotIdx]++
-		cf.addRef(rep.Tenant, slotRef{server: b.server, slot: slotIdx})
+		//cubefit:vet-allow hotpath -- amortized: a bin's records grow with the cube replicas it hosts, and departures free their room for reuse
+		b.refs = append(b.refs, slotRef{tenant: rep.Tenant, slot: slotIdx})
 		if cf.rec != nil {
 			e := obs.AcquireEvent(obs.KindCubePlace)
 			e.Tenant = int(rep.Tenant)

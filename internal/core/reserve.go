@@ -6,9 +6,9 @@ import "cubefit/internal/packing"
 // of its server's largest pairwise shared loads, maintained from the
 // shared-load deltas packing.Placement reports through SetSharedHook. The
 // m-fit reserve of Theorem 1 — the sum of the top γ−1 shared loads — then
-// falls out of the digest as an O(γ) sum instead of a scan over the whole
-// shared map, which is what makes per-probe cost independent of how many
-// peers a server shares tenants with.
+// falls out of the digest as an O(γ) sum instead of a scan over all the
+// server's shared loads, which is what makes per-probe cost independent
+// of how many peers a server shares tenants with.
 //
 // Invariant (the churn property test asserts it after every operation):
 // the digest holds the `n` largest shared loads of the server, sorted
@@ -17,7 +17,7 @@ import "cubefit/internal/packing"
 // query with k ≤ digestSize is answered exactly. The only operation that
 // cannot be repaired locally — a tracked entry shrinking below the digest
 // minimum while untracked peers exist — rebuilds the digest from the
-// shared map; that happens on departures and rollbacks only, never on the
+// shared loads; that happens on departures and rollbacks only, never on the
 // admission probe path.
 //
 // Determinism: sums are always taken over the digest's descending value
@@ -123,14 +123,14 @@ func (d *topKDigest) insert(peer int, v float64) {
 	d.n++
 }
 
-// rebuild repopulates the digest from the server's shared map: the
+// rebuild repopulates the digest from the server's shared loads: the
 // digestSize largest loads, descending. Runs only when a tracked entry
 // shrank or vanished while untracked peers existed (departures and
 // rollbacks), so the admission probe path never pays the scan.
 func (d *topKDigest) rebuild(srv *packing.Server) {
 	d.n = 0
 	d.sat = false
-	//cubefit:vet-allow hotpath -- the callback is passed to EachShared, which only invokes it inline over the shared map; it does not escape
+	//cubefit:vet-allow hotpath -- the callback is passed to EachShared, which only invokes it inline over the shared loads; it does not escape
 	srv.EachShared(func(j int, v float64) {
 		if d.n < digestSize {
 			d.insert(j, v)

@@ -11,7 +11,7 @@ import (
 
 // TestReferenceReserveParity is the byte-identical property test required
 // by the incremental reserve cache: across random workloads with
-// departures, the digest-backed m-fit path and the reference shared-map
+// departures, the digest-backed m-fit path and the reference shared-load
 // recomputation must produce byte-identical placements and identical
 // Stats at γ ∈ {2, 3, 4} — the same contract the first-stage index parity
 // test enforces for its knob.
@@ -103,7 +103,7 @@ func checkDigests(t *testing.T, cf *CubeFit, op string) {
 // TestReserveDigestMatchesTopShared is the exact-equality churn gate: a
 // randomized place/unplace/depart run checking after every operation that
 // every server's digest answers top-(γ−1) queries with the exact value
-// packing.TopShared computes from the shared map (mirroring the headroom
+// packing.TopShared computes from the shared loads (mirroring the headroom
 // incremental==exhaustive gate). CI runs it under the race detector like
 // the rest of the tree.
 func TestReserveDigestMatchesTopShared(t *testing.T) {

@@ -47,8 +47,12 @@ func TestPlaceRollbackMidPlacement(t *testing.T) {
 	if _, ok := cf.Placement().Tenant(2); ok {
 		t.Fatal("failed tenant still registered")
 	}
-	if _, ok := cf.refs[2]; ok {
-		t.Fatal("failed tenant still has slot refs")
+	for _, b := range cf.bins {
+		for _, ref := range b.refs {
+			if ref.tenant == 2 {
+				t.Fatalf("bin %d still records the failed tenant in slot %d", b.server, ref.slot)
+			}
+		}
 	}
 	if got := cf.Placement().NumTenants(); got != 1 {
 		t.Fatalf("tenants = %d, want 1", got)

@@ -49,7 +49,6 @@ func (cf *CubeFit) tryFirstStage(t packing.Tenant, reps []packing.Replica) bool 
 			return false
 		}
 		placed++
-		cf.addRef(t.ID, slotRef{server: b.server, slot: -1})
 		cf.refreshAfterPlacement(t.ID)
 		if cf.rec != nil {
 			e := obs.AcquireEvent(obs.KindStage1Place)
@@ -77,7 +76,6 @@ func (cf *CubeFit) rollbackFirstStage(t packing.Tenant, reps []packing.Replica, 
 	for j := 0; j < placed; j++ {
 		_ = cf.p.Unplace(t.ID, reps[j].Index)
 	}
-	cf.releaseRefs(t.ID)
 	for _, h := range hosts {
 		if h >= 0 {
 			cf.refreshBin(cf.bins[h])
@@ -151,13 +149,10 @@ func (cf *CubeFit) firstMFit(n int32, t packing.Tenant, rep packing.Replica, ear
 				return found
 			}
 		}
-		if packing.FitsWithin(rep.Size, b.slack) {
-			srv := cf.p.Server(b.server)
-			if !srv.Hosts(t.ID) {
-				*probed++
-				if cf.mFits(srv, earlier, rep) {
-					return b
-				}
+		if packing.FitsWithin(rep.Size, b.slack) && !hostsTenant(earlier, b.server) {
+			*probed++
+			if cf.mFits(cf.p.Server(b.server), earlier, rep) {
+				return b
 			}
 		}
 		if !packing.FitsWithin(rep.Size, b.rightMax) {
@@ -198,7 +193,7 @@ func (cf *CubeFit) bestMFitScan(t packing.Tenant, rep packing.Replica) (best *bi
 		if !packing.FitsWithin(rep.Size, slack) {
 			continue // necessary condition: new reserve only grows
 		}
-		if srv.Hosts(t.ID) {
+		if hostsTenant(earlier, b.server) {
 			continue
 		}
 		probed++
@@ -232,10 +227,23 @@ func (cf *CubeFit) placedHosts(id packing.TenantID) []int {
 	return hosts
 }
 
+// hostsTenant reports whether server is among the tenant's placed hosts
+// (placedHosts), which is whether it already holds one of its replicas.
+//
+//cubefit:hotpath
+func hostsTenant(placed []int, server int) bool {
+	for _, h := range placed {
+		if h == server {
+			return true
+		}
+	}
+	return false
+}
+
 // mFits performs the exact m-fit test for placing rep on srv given the
 // tenant's earlier replicas on `earlier`. The adjusted top-k sums come
 // from the incremental per-bin reserve digests by default, making the
-// test O(γ) instead of a scan over the server's shared map; the
+// test O(γ) instead of a scan over the server's shared loads; the
 // reference recomputation stays as a test oracle (cachedReserve cleared)
 // and produces bit-identical sums.
 //
@@ -266,7 +274,7 @@ func (cf *CubeFit) mFits(srv *packing.Server, earlier []int, rep packing.Replica
 }
 
 // adjustedReserve dispatches the hypothetical top-k shared sum to the
-// server's reserve digest (fast path) or the reference shared-map scan.
+// server's reserve digest (fast path) or the reference shared-load scan.
 //
 //cubefit:hotpath
 func (cf *CubeFit) adjustedReserve(s *packing.Server, k int, bump []int, delta float64) float64 {
@@ -278,7 +286,7 @@ func (cf *CubeFit) adjustedReserve(s *packing.Server, k int, bump []int, delta f
 
 // topSharedAdjusted computes the sum of the k largest shared loads of s
 // after hypothetically adding delta to its shared load with each server in
-// bump (servers absent from the shared map count as delta).
+// bump (servers the server shares no load with count as delta).
 //
 //cubefit:hotpath
 func topSharedAdjusted(s *packing.Server, k int, bump []int, delta float64) float64 {
@@ -300,7 +308,7 @@ func topSharedAdjusted(s *packing.Server, k int, bump []int, delta float64) floa
 		}
 	}
 	seen := 0
-	//cubefit:vet-allow hotpath -- the callback is passed to EachShared, which only invokes it inline over the shared map; it does not escape (0 allocs/op)
+	//cubefit:vet-allow hotpath -- the callback is passed to EachShared, which only invokes it inline over the shared loads; it does not escape (0 allocs/op)
 	s.EachShared(func(j int, v float64) {
 		for _, b := range bump {
 			if b == j {

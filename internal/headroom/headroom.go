@@ -110,6 +110,8 @@ type Auditor struct {
 
 	// scratch is reused by Summary for the median selection.
 	scratch []float64
+	// hostBuf receives a tenant's hosts in markTenant.
+	hostBuf []int
 }
 
 // New creates an auditor over the placement with the given red-line
@@ -177,12 +179,12 @@ func (a *Auditor) Record(e obs.Event) {
 // markTenant marks every current host of the tenant dirty, plus extra
 // (ignored when Unset).
 func (a *Auditor) markTenant(tenant, extra int) {
-	hosts := a.p.TenantHosts(packing.TenantID(tenant))
 	a.mu.Lock()
+	a.hostBuf = a.p.TenantHostsInto(packing.TenantID(tenant), a.hostBuf)
 	if extra != obs.Unset {
 		a.markLocked(extra)
 	}
-	for _, h := range hosts {
+	for _, h := range a.hostBuf {
 		if h >= 0 {
 			a.markLocked(h)
 		}

@@ -31,9 +31,8 @@ func PlaceAll(a Algorithm, tenants []Tenant) error {
 //
 //cubefit:hotpath
 func (s *Server) EachShared(fn func(j int, load float64)) {
-	//cubefit:vet-allow maprange -- iteration order is documented unspecified; order-sensitive callers must sort or select (TopShared, TopSharedSet)
-	for j, v := range s.shared {
-		fn(j, v)
+	for _, e := range s.shared {
+		fn(e.peer, e.load)
 	}
 }
 

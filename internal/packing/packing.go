@@ -55,12 +55,21 @@ type Replica struct {
 // Server is one unit-capacity machine in a placement. Fields are managed by
 // Placement; read-only for callers.
 type Server struct {
-	id       int
-	level    float64
-	replicas map[TenantID]Replica
-	// shared[j] = total load of replicas on this server whose tenant also
-	// has a replica on server j, i.e. |Si ∩ Sj|.
-	shared map[int]float64
+	id    int
+	level float64
+	// replicas holds the hosted replicas, at most one per tenant, in no
+	// particular order.
+	replicas []Replica
+	// shared holds one entry per peer server j with |Si ∩ Sj| > 0: the
+	// total load of replicas on this server whose tenant also has a replica
+	// on j. No particular order.
+	shared []sharedLoad
+}
+
+// sharedLoad is one pairwise intersection |Si ∩ Sj| of a server with peer j.
+type sharedLoad struct {
+	peer int
+	load float64
 }
 
 // ID returns the server's index within its placement.
@@ -74,23 +83,69 @@ func (s *Server) NumReplicas() int { return len(s.replicas) }
 
 // Replicas returns a copy of the hosted replicas in tenant order.
 func (s *Server) Replicas() []Replica {
-	out := make([]Replica, 0, len(s.replicas))
-	//cubefit:vet-allow maprange -- collects replicas only; sorted by tenant (unique per server) before returning
-	for _, r := range s.replicas {
-		out = append(out, r)
-	}
+	out := make([]Replica, len(s.replicas))
+	copy(out, s.replicas)
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
 }
 
 // Hosts reports whether the server hosts a replica of tenant id.
-func (s *Server) Hosts(id TenantID) bool {
-	_, ok := s.replicas[id]
-	return ok
+func (s *Server) Hosts(id TenantID) bool { return s.replicaIndex(id) >= 0 }
+
+// replicaIndex returns the position of tenant id's replica in s.replicas,
+// or -1.
+func (s *Server) replicaIndex(id TenantID) int {
+	for i := range s.replicas {
+		if s.replicas[i].Tenant == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // SharedWith returns |Si ∩ Sj| for this server Si and server j.
-func (s *Server) SharedWith(j int) float64 { return s.shared[j] }
+func (s *Server) SharedWith(j int) float64 {
+	if i := s.sharedIndex(j); i >= 0 {
+		return s.shared[i].load
+	}
+	return 0
+}
+
+// sharedIndex returns the position of peer's entry in s.shared, or -1.
+func (s *Server) sharedIndex(peer int) int {
+	for i := range s.shared {
+		if s.shared[i].peer == peer {
+			return i
+		}
+	}
+	return -1
+}
+
+// addShared adds delta to the load this server shares with peer and
+// returns the new value. A negative delta (an unplace) that leaves at most
+// rounding noise removes the entry and returns 0.
+//
+//cubefit:hotpath
+func (s *Server) addShared(peer int, delta float64) float64 {
+	i := s.sharedIndex(peer)
+	if i < 0 {
+		if delta < 0 {
+			return 0
+		}
+		//cubefit:vet-allow hotpath -- amortized: a server's peer list grows with the tenants it hosts, and removals free the room for reuse
+		s.shared = append(s.shared, sharedLoad{peer: peer, load: delta})
+		return delta
+	}
+	v := s.shared[i].load + delta
+	if delta < 0 && Negligible(v) {
+		last := len(s.shared) - 1
+		s.shared[i] = s.shared[last]
+		s.shared = s.shared[:last]
+		return 0
+	}
+	s.shared[i].load = v
+	return v
+}
 
 // TopShared returns the sum of the k largest shared loads with other
 // servers: the worst-case extra load under any simultaneous failure of k
@@ -103,18 +158,18 @@ func (s *Server) TopShared(k int) float64 {
 	}
 	if k > len(s.shared) {
 		// Clamp: failing more peers than exist adds nothing. The clamped k
-		// then routes through one of the order-deterministic paths below —
-		// summing the map directly would add floats in iteration order,
-		// perturbing the last ulp from run to run and breaking the
-		// byte-identical parity contract.
+		// then routes through one of the descending-order sums below —
+		// summing the entries as stored would add floats in an order that
+		// depends on the placement's history, perturbing the last ulp and
+		// breaking the byte-identical parity contract.
 		k = len(s.shared)
 	}
 	if k <= topSharedFastK {
 		// Single pass keeping the k largest values; γ−1 is 1 or 2 in the
 		// paper's configurations, so this path dominates.
 		var top [topSharedFastK]float64
-		//cubefit:vet-allow maprange -- selects the k largest values; the selected multiset and its descending-order sum are iteration-order independent
-		for _, v := range s.shared {
+		for _, e := range s.shared {
+			v := e.load
 			for i := 0; i < k; i++ {
 				if v > top[i] {
 					copy(top[i+1:k], top[i:k-1])
@@ -131,9 +186,8 @@ func (s *Server) TopShared(k int) float64 {
 	}
 	//cubefit:vet-allow hotpath -- k > topSharedFastK only when γ−1 > 4, outside every paper configuration; the fast path above is allocation-free
 	vals := make([]float64, 0, len(s.shared))
-	//cubefit:vet-allow maprange -- collects values only; sorted descending before the sum
-	for _, v := range s.shared {
-		vals = append(vals, v) //cubefit:vet-allow hotpath -- cold k > topSharedFastK path; vals has full capacity reserved above
+	for _, e := range s.shared {
+		vals = append(vals, e.load) //cubefit:vet-allow hotpath -- cold k > topSharedFastK path; vals has full capacity reserved above
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(vals)))
 	sum := 0.0
@@ -158,31 +212,41 @@ func (s *Server) TopSharedSet(k int) (float64, []int) {
 	if k <= 0 || len(s.shared) == 0 {
 		return 0, nil
 	}
-	type peerShare struct {
-		id int
-		v  float64
+	if k > len(s.shared) {
+		k = len(s.shared)
 	}
-	peers := make([]peerShare, 0, len(s.shared))
-	//cubefit:vet-allow maprange -- collects pairs only; sorted below under a strict total order (load desc, ID asc)
-	for j, v := range s.shared {
-		peers = append(peers, peerShare{id: j, v: v})
-	}
-	sort.Slice(peers, func(i, j int) bool {
-		if peers[i].v != peers[j].v { //cubefit:vet-allow floatcmp -- exact tie-break keeps the ranking a strict weak order
-			return peers[i].v > peers[j].v
+	// One pass keeps the k best peers in rank order by insertion.
+	top := make([]sharedLoad, 0, k)
+	for _, e := range s.shared {
+		i := len(top)
+		for i > 0 && outranks(e, top[i-1]) {
+			i--
 		}
-		return peers[i].id < peers[j].id
-	})
-	if k > len(peers) {
-		k = len(peers)
+		if i == k {
+			continue
+		}
+		if len(top) < k {
+			top = append(top, e)
+		}
+		copy(top[i+1:], top[i:len(top)-1])
+		top[i] = e
 	}
 	sum := 0.0
 	set := make([]int, k)
-	for i := 0; i < k; i++ {
-		sum += peers[i].v
-		set[i] = peers[i].id
+	for i, e := range top {
+		sum += e.load
+		set[i] = e.peer
 	}
 	return sum, set
+}
+
+// outranks orders peers for TopSharedSet: larger shared load first, then
+// lower server ID, a strict total order over one server's peers.
+func outranks(a, b sharedLoad) bool {
+	if a.load != b.load { //cubefit:vet-allow floatcmp -- exact tie-break keeps the ranking a strict total order
+		return a.load > b.load
+	}
+	return a.peer < b.peer
 }
 
 // Free returns the spare capacity 1 − Level().
@@ -194,10 +258,15 @@ func (s *Server) Free() float64 { return 1 - s.level }
 type Placement struct {
 	gamma   int
 	servers []*Server
-	// tenantHosts[t] = server IDs hosting each replica of t, indexed by
-	// replica index; -1 for not-yet-placed replicas.
-	tenantHosts map[TenantID][]int
-	tenants     map[TenantID]Tenant
+	// The tenant table. rows maps each registered tenant to its row r:
+	// tenants[r] is the tenant and hosts[r·γ : (r+1)·γ] the server of each
+	// of its replicas by replica index, -1 where unplaced. RemoveTenant
+	// puts the row on free and AddTenant reuses it, so the table only
+	// grows with the peak number of tenants.
+	rows    map[TenantID]int32
+	tenants []Tenant
+	hosts   []int
+	free    []int32
 	// sharedHook, when non-nil, observes every pairwise shared-load
 	// mutation (see SetSharedHook).
 	sharedHook func(server, peer int, value float64)
@@ -218,11 +287,7 @@ func NewPlacement(gamma int) (*Placement, error) {
 	if gamma < 1 {
 		return nil, fmt.Errorf("packing: replication factor %d < 1", gamma)
 	}
-	return &Placement{
-		gamma:       gamma,
-		tenantHosts: make(map[TenantID][]int),
-		tenants:     make(map[TenantID]Tenant),
-	}, nil
+	return &Placement{gamma: gamma, rows: make(map[TenantID]int32)}, nil
 }
 
 // Gamma returns the replication factor.
@@ -252,7 +317,7 @@ func (p *Placement) NumUsedServers() int {
 }
 
 // NumTenants returns the number of tenants known to the placement.
-func (p *Placement) NumTenants() int { return len(p.tenants) }
+func (p *Placement) NumTenants() int { return len(p.rows) }
 
 // Server returns the server with the given ID, or nil.
 func (p *Placement) Server(id int) *Server {
@@ -267,32 +332,52 @@ func (p *Placement) Servers() []*Server { return p.servers }
 
 // Tenant returns the stored tenant and whether it exists.
 func (p *Placement) Tenant(id TenantID) (Tenant, bool) {
-	t, ok := p.tenants[id]
-	return t, ok
+	r, ok := p.rows[id]
+	if !ok {
+		return Tenant{}, false
+	}
+	return p.tenants[r], true
 }
 
 // Tenants returns all tenants in ID order.
 func (p *Placement) Tenants() []Tenant {
-	out := make([]Tenant, 0, len(p.tenants))
+	out := make([]Tenant, 0, len(p.rows))
 	//cubefit:vet-allow maprange -- collects tenants only; sorted by unique ID before returning
-	for _, t := range p.tenants {
-		out = append(out, t)
+	for _, r := range p.rows {
+		out = append(out, p.tenants[r])
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// row returns the host slice of tenant id's row — the server of each
+// replica by replica index, -1 where unplaced — and whether the tenant is
+// registered. The slice aliases the table; writes through it move hosts.
+//
+//cubefit:hotpath
+func (p *Placement) row(id TenantID) ([]int, bool) {
+	r, ok := p.rows[id]
+	if !ok {
+		return nil, false
+	}
+	return p.rowHosts(r), true
+}
+
+// rowHosts returns the host slice of table row r.
+func (p *Placement) rowHosts(r int32) []int {
+	i := int(r) * p.gamma
+	return p.hosts[i : i+p.gamma : i+p.gamma]
 }
 
 // TenantHosts returns the server IDs hosting tenant id's replicas by replica
 // index (-1 where unplaced), or nil if the tenant is unknown. The returned
 // slice is a copy; use TenantHostsInto or EachTenantHost on hot paths.
 func (p *Placement) TenantHosts(id TenantID) []int {
-	hosts, ok := p.tenantHosts[id]
+	hosts, ok := p.row(id)
 	if !ok {
 		return nil
 	}
-	out := make([]int, len(hosts))
-	copy(out, hosts)
-	return out
+	return append([]int(nil), hosts...)
 }
 
 // TenantHostsInto is the allocation-free variant of TenantHosts: the host
@@ -303,7 +388,7 @@ func (p *Placement) TenantHosts(id TenantID) []int {
 //
 //cubefit:hotpath
 func (p *Placement) TenantHostsInto(id TenantID, buf []int) []int {
-	hosts, ok := p.tenantHosts[id]
+	hosts, ok := p.row(id)
 	if !ok {
 		return nil
 	}
@@ -316,18 +401,15 @@ func (p *Placement) TenantHostsInto(id TenantID, buf []int) []int {
 //
 //cubefit:hotpath
 func (p *Placement) EachTenantHost(id TenantID, fn func(idx, server int)) {
-	for i, h := range p.tenantHosts[id] {
+	hosts, _ := p.row(id)
+	for i, h := range hosts {
 		fn(i, h)
 	}
 }
 
 // OpenServer allocates a new empty server and returns its ID.
 func (p *Placement) OpenServer() int {
-	s := &Server{
-		id:       len(p.servers),
-		replicas: make(map[TenantID]Replica),
-		shared:   make(map[int]float64),
-	}
+	s := &Server{id: len(p.servers)}
 	p.servers = append(p.servers, s)
 	return s.id
 }
@@ -338,18 +420,27 @@ func (p *Placement) AddTenant(t Tenant) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	if prev, ok := p.tenants[t.ID]; ok {
-		if prev != t {
+	if r, ok := p.rows[t.ID]; ok {
+		if p.tenants[r] != t {
 			return fmt.Errorf("packing: tenant %d re-registered with different attributes", t.ID)
 		}
 		return nil
 	}
-	p.tenants[t.ID] = t
-	hosts := make([]int, p.gamma)
+	var r int32
+	if n := len(p.free); n > 0 {
+		r = p.free[n-1]
+		p.free = p.free[:n-1]
+		p.tenants[r] = t
+	} else {
+		r = int32(len(p.tenants))
+		p.tenants = append(p.tenants, t)
+		p.hosts = append(p.hosts, make([]int, p.gamma)...)
+	}
+	hosts := p.rowHosts(r)
 	for i := range hosts {
 		hosts[i] = -1
 	}
-	p.tenantHosts[t.ID] = hosts
+	p.rows[t.ID] = r
 	return nil
 }
 
@@ -402,7 +493,7 @@ func (p *Placement) Place(sid int, r Replica) error {
 	if s == nil {
 		return fmt.Errorf("%w: %d", ErrNoServer, sid)
 	}
-	hosts, ok := p.tenantHosts[r.Tenant]
+	hosts, ok := p.row(r.Tenant)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownTenant, r.Tenant)
 	}
@@ -416,14 +507,17 @@ func (p *Placement) Place(sid int, r Replica) error {
 		return fmt.Errorf("%w: replica %d of tenant %d already on server %d",
 			ErrBadReplica, r.Index, r.Tenant, hosts[r.Index])
 	}
-	if s.Hosts(r.Tenant) {
-		return fmt.Errorf("%w: tenant %d on server %d", ErrDuplicateTenant, r.Tenant, sid)
+	// The tenant's hosts are exactly the servers holding its replicas.
+	for _, h := range hosts {
+		if h == sid {
+			return fmt.Errorf("%w: tenant %d on server %d", ErrDuplicateTenant, r.Tenant, sid)
+		}
 	}
 	if !WithinCapacity(s.level + r.Size) {
 		return fmt.Errorf("%w: server %d level %v + %v", ErrOverflow, sid, s.level, r.Size)
 	}
 
-	s.replicas[r.Tenant] = r
+	s.replicas = append(s.replicas, r)
 	s.level += r.Size
 	hosts[r.Index] = sid
 
@@ -433,11 +527,11 @@ func (p *Placement) Place(sid int, r Replica) error {
 			continue
 		}
 		o := p.servers[other]
-		s.shared[other] += r.Size
-		o.shared[sid] += o.replicas[r.Tenant].Size
+		v := s.addShared(other, r.Size)
+		ov := o.addShared(sid, o.replicas[o.replicaIndex(r.Tenant)].Size)
 		if p.sharedHook != nil {
-			p.sharedHook(sid, other, s.shared[other])
-			p.sharedHook(other, sid, o.shared[sid])
+			p.sharedHook(sid, other, v)
+			p.sharedHook(other, sid, ov)
 		}
 	}
 	return nil
@@ -446,61 +540,61 @@ func (p *Placement) Place(sid int, r Replica) error {
 // Unplace removes replica index idx of tenant id from its server. Used for
 // first-stage rollback in CubeFit and for the tenant-departure extension.
 func (p *Placement) Unplace(id TenantID, idx int) error {
-	hosts, ok := p.tenantHosts[id]
+	hosts, ok := p.row(id)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownTenant, id)
 	}
 	if idx < 0 || idx >= p.gamma || hosts[idx] == -1 {
 		return fmt.Errorf("%w: replica %d of tenant %d not placed", ErrBadReplica, idx, id)
 	}
+	p.unplace(id, hosts, idx)
+	return nil
+}
+
+// unplace removes the placed replica idx of tenant id, whose row is hosts.
+func (p *Placement) unplace(id TenantID, hosts []int, idx int) {
 	sid := hosts[idx]
 	s := p.servers[sid]
-	r := s.replicas[id]
+	ri := s.replicaIndex(id)
+	r := s.replicas[ri]
 
 	for i, other := range hosts {
 		if i == idx || other == -1 {
 			continue
 		}
 		o := p.servers[other]
-		s.shared[other] -= r.Size
-		if Negligible(s.shared[other]) {
-			delete(s.shared, other)
-		}
-		o.shared[sid] -= o.replicas[id].Size
-		if Negligible(o.shared[sid]) {
-			delete(o.shared, sid)
-		}
+		v := s.addShared(other, -r.Size)
+		ov := o.addShared(sid, -o.replicas[o.replicaIndex(id)].Size)
 		if p.sharedHook != nil {
-			p.sharedHook(sid, other, s.shared[other])
-			p.sharedHook(other, sid, o.shared[sid])
+			p.sharedHook(sid, other, v)
+			p.sharedHook(other, sid, ov)
 		}
 	}
-	delete(s.replicas, id)
+	last := len(s.replicas) - 1
+	s.replicas[ri] = s.replicas[last]
+	s.replicas = s.replicas[:last]
 	s.level -= r.Size
 	if s.level < 0 {
 		s.level = 0
 	}
 	hosts[idx] = -1
-	return nil
 }
 
 // RemoveTenant unplaces every replica of the tenant and forgets it
 // (the dynamic-departure extension; see DESIGN.md §7).
 func (p *Placement) RemoveTenant(id TenantID) error {
-	hosts, ok := p.tenantHosts[id]
+	r, ok := p.rows[id]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownTenant, id)
 	}
+	hosts := p.rowHosts(r)
 	for i, sid := range hosts {
-		if sid == -1 {
-			continue
-		}
-		if err := p.Unplace(id, i); err != nil {
-			return err
+		if sid != -1 {
+			p.unplace(id, hosts, i)
 		}
 	}
-	delete(p.tenantHosts, id)
-	delete(p.tenants, id)
+	delete(p.rows, id)
+	p.free = append(p.free, r)
 	return nil
 }
 

@@ -17,7 +17,7 @@ const (
 	CapacityEps = 1e-9
 	// SharedEps is the bookkeeping tolerance for pairwise shared loads:
 	// residuals at or below it are treated as rounding noise and dropped
-	// from the shared-load maps when replicas are unplaced.
+	// from the servers' shared loads when replicas are unplaced.
 	SharedEps = 1e-12
 )
 

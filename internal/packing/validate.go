@@ -3,7 +3,6 @@ package packing
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // ErrNotRobust indicates a violated robustness constraint.
@@ -24,28 +23,42 @@ var ErrIncomplete = errors.New("packing: tenant has unplaced replicas")
 // other servers because the left side is maximized by the top γ−1 shared
 // loads (see TestValidateMatchesExhaustive).
 func (p *Placement) Validate() error {
-	// Scan tenants in ID order so the first violation reported is a pure
+	// Report the violation of the lowest tenant ID, so the error is a pure
 	// function of the placement, not of map iteration order.
-	ids := make([]TenantID, 0, len(p.tenantHosts))
-	//cubefit:vet-allow maprange -- collects keys only; sorted before the scan
-	for id := range p.tenantHosts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		hosts := p.tenantHosts[id]
-		seen := make(map[int]bool, len(hosts))
-		for idx, sid := range hosts {
-			if sid == -1 {
-				return fmt.Errorf("%w: tenant %d replica %d", ErrIncomplete, id, idx)
-			}
-			if seen[sid] {
-				return fmt.Errorf("%w: tenant %d twice on server %d", ErrDuplicateTenant, id, sid)
-			}
-			seen[sid] = true
+	var (
+		worst TenantID
+		err   error
+	)
+	//cubefit:vet-allow maprange -- keeps the lowest-ID violation, which is the same in any iteration order
+	for id, r := range p.rows {
+		if err != nil && id > worst {
+			continue
+		}
+		if e := checkHosts(id, p.rowHosts(r)); e != nil {
+			worst, err = id, e
 		}
 	}
+	if err != nil {
+		return err
+	}
 	return p.ValidateRobustness()
+}
+
+// checkHosts reports the first problem with one tenant's hosts, in replica
+// index order: an unplaced replica, or a server that already holds one of
+// the tenant's earlier replicas.
+func checkHosts(id TenantID, hosts []int) error {
+	for idx, sid := range hosts {
+		if sid == -1 {
+			return fmt.Errorf("%w: tenant %d replica %d", ErrIncomplete, id, idx)
+		}
+		for _, prev := range hosts[:idx] {
+			if prev == sid {
+				return fmt.Errorf("%w: tenant %d twice on server %d", ErrDuplicateTenant, id, sid)
+			}
+		}
+	}
+	return nil
 }
 
 // ValidateRobustness checks conditions 2 and 3 of Validate without
@@ -108,7 +121,7 @@ func (p *Placement) checkSubsets(s *Server, others []int, k int) error {
 		}
 		for i := start; i < len(others); i++ {
 			idx[depth] = i
-			if err := rec(i+1, depth+1, extra+s.shared[others[i]]); err != nil {
+			if err := rec(i+1, depth+1, extra+s.SharedWith(others[i])); err != nil {
 				return err
 			}
 		}
@@ -123,8 +136,8 @@ func (p *Placement) checkSubsets(s *Server, others []int, k int) error {
 func (p *Placement) FailureImpact(failed []int) map[int]float64 {
 	// Dedupe the failed set preserving the caller's order: the per-server
 	// sum below adds floats in that order, keeping the result a pure
-	// function of the arguments (summing s.shared in map iteration order
-	// would perturb the last ulp from run to run).
+	// function of the arguments (summing s.shared in its stored order
+	// would make the last ulp depend on the placement's history).
 	down := make(map[int]bool, len(failed))
 	uniq := make([]int, 0, len(failed))
 	for _, f := range failed {
@@ -140,7 +153,7 @@ func (p *Placement) FailureImpact(failed []int) map[int]float64 {
 		}
 		extra := 0.0
 		for _, j := range uniq {
-			extra += s.shared[j]
+			extra += s.SharedWith(j)
 		}
 		impact[s.id] = extra
 	}
