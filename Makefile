@@ -153,13 +153,15 @@ healthcheck:
 
 # The per-layer microbenchmark ledger: fleet-scale engine admissions with
 # their heap bytes per tenant, the recorder-free admit/depart cycle, the
-# log's per-record encode and a 10k-tenant recovery, each repeated
-# PERF_COUNT times with allocation counts, into perf.out. Nothing is gated
-# on it; compare two commits' files with benchstat or by eye.
+# headroom auditor's refresh after one tenant's mutation, the log's
+# per-record encode and a 10k-tenant recovery, each repeated PERF_COUNT
+# times with allocation counts, into perf.out. Nothing is gated on it;
+# compare two commits' files with benchstat or by eye.
 PERF_COUNT ?= 5
 perf:
 	@set -e; { \
 	$(GO) test -run '^$$' -bench '^(BenchmarkPlaceFleet|BenchmarkPlaceNoRecorder)$$' -count $(PERF_COUNT) -benchmem ./internal/core/; \
+	$(GO) test -run '^$$' -bench '^BenchmarkHeadroomIncremental$$' -count $(PERF_COUNT) -benchmem .; \
 	$(GO) test -run '^$$' -bench '^BenchmarkWALRecord$$' -count $(PERF_COUNT) -benchmem ./internal/obs/; \
 	$(GO) test -run '^$$' -bench '^BenchmarkRecoverFleet$$/^tenants10000$$' -count $(PERF_COUNT) -benchmem ./internal/recovery/; \
 	} > perf.out

@@ -189,35 +189,23 @@ type bin struct {
 	right    int32
 	prio     uint32
 
-	tau      int
-	tiny     bool
-	slotSize float64
-	// slotUsed/slotCount track the τ payload slots; the γ−1 reserved
-	// slots are never represented because they stay empty by construction.
-	slotUsed  []float64
-	slotCount []int
-	// refs records the payload slot of every cube replica the bin hosts,
-	// in no particular order. First-stage replicas take no slot and have
-	// no record. unwind finds a tenant's records through its hosts.
-	refs []slotRef
-
-	closed    int // payload slots the cursor has advanced past
+	// tau and tiny name the bin's class; the bin matures once the cube's
+	// cursor has closed its tau payload slots. Nothing is kept per slot:
+	// the first stage reads the level and reserve, and the tiny
+	// accumulation its cube's fill. No bin field holds a pointer
+	// (TestBinLayout), so the collector never scans inside a bin.
+	tau       int32
+	tiny      bool
+	closed    int32 // payload slots the cursor has advanced past
 	mature    bool
-	retired   bool // mature and permanently removed from active (pruned)
-	activeIdx int  // index in CubeFit.active, or -1
+	retired   bool  // mature and permanently removed from active (pruned)
+	activeIdx int32 // index in CubeFit.active, or -1
 	reserve   float64
 	// digest incrementally tracks the server's largest pairwise shared
 	// loads (see reserve.go), fed by the packing shared-load hook; the
 	// cached m-fit path reads reserves from it instead of scanning the
 	// server's shared loads.
 	digest topKDigest
-}
-
-// slotRef is a bin's record of one hosted cube replica: its tenant and
-// payload slot.
-type slotRef struct {
-	tenant packing.TenantID
-	slot   int
 }
 
 // New creates a CubeFit instance for the given configuration.
@@ -277,9 +265,9 @@ func (cf *CubeFit) Config() Config { return cf.cfg }
 // The resulting placement always satisfies the robustness invariant.
 //
 // Place is atomic: on failure the tenant is fully rolled back — replicas
-// already placed are removed, slot bookkeeping is restored, and the tenant
-// is deregistered — so the placement still validates and the same tenant
-// can be re-admitted later.
+// already placed are removed, the affected bins' caches are refreshed, and
+// the tenant is deregistered — so the placement still validates and the
+// same tenant can be re-admitted later.
 func (cf *CubeFit) Place(t packing.Tenant) error {
 	if cf.rec != nil {
 		e := obs.AcquireEvent(obs.KindAttempt)
@@ -368,9 +356,9 @@ func (cf *CubeFit) rollbackAdmission(id packing.TenantID, err error) {
 func (cf *CubeFit) Stats() Stats { return cf.stats }
 
 // Remove evicts a tenant and releases its capacity for future arrivals
-// (dynamic-departure extension; see DESIGN.md §7). Freed slot space is
-// reused both by the tiny accumulation within its slot and by the first
-// stage once the bin is mature.
+// (dynamic-departure extension; see DESIGN.md §7). The first stage reuses
+// the freed capacity once the bin is mature; the tiny accumulation reads
+// only its cube's fill, so a departure does not reopen a closed slot.
 func (cf *CubeFit) Remove(id packing.TenantID) error {
 	if _, ok := cf.p.Tenant(id); !ok {
 		return fmt.Errorf("%w: %d", packing.ErrUnknownTenant, id)
@@ -385,49 +373,23 @@ func (cf *CubeFit) Remove(id packing.TenantID) error {
 }
 
 // unwind evicts a registered tenant, whether fully or partially placed:
-// every placed replica is unplaced, the slot bookkeeping of its bins is
-// restored, the tenant is deregistered, and the reserve caches of the
-// affected servers are refreshed. It serves both tenant departure (Remove)
-// and the rollback of failed admissions (Place).
+// every placed replica is unplaced, the tenant is deregistered, and the
+// caches of the affected bins are refreshed. It serves both tenant
+// departure (Remove) and the rollback of failed admissions (Place).
 func (cf *CubeFit) unwind(id packing.TenantID) {
-	t, ok := cf.p.Tenant(id)
-	if !ok {
+	if _, ok := cf.p.Tenant(id); !ok {
 		return
 	}
-	size := cf.p.ReplicaSize(t)
 	hosts := cf.p.TenantHostsInto(id, cf.hostScratch)
 	cf.hostScratch = hosts
 	// RemoveTenant cannot fail for a registered tenant; every placed
 	// replica recorded in its hosts is unplaceable by construction.
 	_ = cf.p.RemoveTenant(id)
 	for _, h := range hosts {
-		if h < 0 {
-			continue
-		}
-		b := cf.bins[h]
-		if slot := b.dropRef(id); slot >= 0 {
-			b.slotUsed[slot] -= size
-			if b.slotUsed[slot] < 0 {
-				b.slotUsed[slot] = 0
-			}
-			b.slotCount[slot]--
-		}
-		cf.refreshBin(b)
-	}
-}
-
-// dropRef deletes the bin's record of tenant id's cube replica and returns
-// its payload slot, or -1 when the bin holds no cube replica of the tenant.
-func (b *bin) dropRef(id packing.TenantID) int {
-	for i, ref := range b.refs {
-		if ref.tenant == id {
-			last := len(b.refs) - 1
-			b.refs[i] = b.refs[last]
-			b.refs = b.refs[:last]
-			return ref.slot
+		if h >= 0 {
+			cf.refreshBin(cf.bins[h])
 		}
 	}
-	return -1
 }
 
 // placeRegular runs the second stage for a class-τ tenant (τ < K).
@@ -497,10 +459,6 @@ func (cf *CubeFit) placeAtCursor(cb *cube, reps []packing.Replica) error {
 			//cubefit:vet-allow hotpath -- cold error edge: cube addressing guarantees distinct servers with free capacity
 			return fmt.Errorf("core: internal: cube placement rejected: %w", err)
 		}
-		b.slotUsed[slotIdx] += rep.Size
-		b.slotCount[slotIdx]++
-		//cubefit:vet-allow hotpath -- amortized: a bin's records grow with the cube replicas it hosts, and departures free their room for reuse
-		b.refs = append(b.refs, slotRef{tenant: rep.Tenant, slot: slotIdx})
 		if cf.rec != nil {
 			e := obs.AcquireEvent(obs.KindCubePlace)
 			e.Tenant = int(rep.Tenant)
@@ -616,11 +574,9 @@ func (cf *CubeFit) binAt(cb *cube, j, binIdx int) (*bin, error) {
 	}
 	b := &bin{
 		server:    sid,
-		tau:       cb.tau,
+		slack:     1, // an empty server's: refreshBin runs only once it hosts a replica
+		tau:       int32(cb.tau),
 		tiny:      cb.tiny,
-		slotSize:  cb.slotSize,
-		slotUsed:  make([]float64, cb.tau),
-		slotCount: make([]int, cb.tau),
 		activeIdx: -1,
 		left:      noBin,
 		right:     noBin,
@@ -644,7 +600,7 @@ func (cf *CubeFit) matureBin(b *bin) {
 	if cf.rec != nil {
 		e := obs.AcquireEvent(obs.KindBinMature)
 		e.Server = b.server
-		e.Class = b.tau
+		e.Class = int(b.tau)
 		e.Tiny = b.tiny
 		e.Level = cf.p.Server(b.server).Level()
 		cf.emit(e)
@@ -684,7 +640,7 @@ func (cf *CubeFit) refreshBin(b *bin) {
 			cf.emit(e)
 		}
 		b.retired = false
-		b.activeIdx = len(cf.active)
+		b.activeIdx = int32(len(cf.active))
 		//cubefit:vet-allow hotpath -- activation growth is amortized: steady state reuses the capacity freed by removeActive swap-removes
 		cf.active = append(cf.active, b)
 		cf.index.insert(cf.bins, b)

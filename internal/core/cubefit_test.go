@@ -1,7 +1,9 @@
 package core
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"cubefit/internal/packing"
 	"cubefit/internal/workload"
@@ -332,5 +334,30 @@ func TestConfigAccessor(t *testing.T) {
 	cf := mustCubeFit(t, Config{Gamma: 3, K: 7})
 	if cfg := cf.Config(); cfg.Gamma != 3 || cfg.K != 7 {
 		t.Fatalf("Config() = %+v", cfg)
+	}
+}
+
+// TestBinLayout pins the bin table's footprint: a fleet holds one bin per
+// server, so a bin stays pointer-free, which keeps the collector from
+// scanning it, and within 200 bytes.
+func TestBinLayout(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.String, reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("bin field %s has kind %v, which holds a pointer", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	walk("bin", reflect.TypeOf(bin{}))
+	if size := unsafe.Sizeof(bin{}); size > 200 {
+		t.Errorf("unsafe.Sizeof(bin{}) = %d B, want at most 200", size)
 	}
 }

@@ -77,10 +77,10 @@ func TestLemma1MixedClassesSharedLoadBound(t *testing.T) {
 		for _, s := range p.Servers() {
 			slotSize := 1.0 // class-1 slot size upper bound
 			if b := cf.bins[s.ID()]; b != nil {
-				slotSize = b.slotSize
+				slotSize = cf.cfg.SlotSize(int(b.tau))
 			}
 			s.EachShared(func(j int, v float64) {
-				other := cf.bins[j].slotSize
+				other := cf.cfg.SlotSize(int(cf.bins[j].tau))
 				bound := slotSize
 				if other > bound {
 					bound = other

@@ -36,7 +36,7 @@ const digestSize = 8
 type topKDigest struct {
 	n   int  // live entries in id/v
 	sat bool // untracked peers exist (and are ≤ v[n-1]); implies n == digestSize
-	id  [digestSize]int
+	id  [digestSize]int32
 	v   [digestSize]float64
 }
 
@@ -48,7 +48,7 @@ type topKDigest struct {
 func (d *topKDigest) update(peer int, v float64, srv *packing.Server) {
 	i := -1
 	for j := 0; j < d.n; j++ {
-		if d.id[j] == peer {
+		if int(d.id[j]) == peer {
 			i = j
 			break
 		}
@@ -90,7 +90,7 @@ func (d *topKDigest) update(peer int, v float64, srv *packing.Server) {
 			d.id[i], d.v[i] = d.id[i-1], d.v[i-1]
 			i--
 		}
-		d.id[i], d.v[i] = peer, v
+		d.id[i], d.v[i] = int32(peer), v
 	default:
 		// Decrease: if the new value dips below the digest minimum while
 		// untracked peers exist, one of them may now outrank it — rebuild.
@@ -104,7 +104,7 @@ func (d *topKDigest) update(peer int, v float64, srv *packing.Server) {
 			d.id[i], d.v[i] = d.id[i+1], d.v[i+1]
 			i++
 		}
-		d.id[i], d.v[i] = peer, v
+		d.id[i], d.v[i] = int32(peer), v
 	}
 }
 
@@ -119,7 +119,7 @@ func (d *topKDigest) insert(peer int, v float64) {
 		d.id[i], d.v[i] = d.id[i-1], d.v[i-1]
 		i--
 	}
-	d.id[i], d.v[i] = peer, v
+	d.id[i], d.v[i] = int32(peer), v
 	d.n++
 }
 
@@ -190,7 +190,7 @@ func (d *topKDigest) adjustedTopSum(k int, bump []int, delta float64, srv *packi
 	for i := 0; i < d.n; i++ {
 		v := d.v[i]
 		for bi, b := range bump {
-			if b == d.id[i] {
+			if b == int(d.id[i]) {
 				v += delta
 				bumped[bi] = true
 				break

@@ -79,7 +79,7 @@ func checkDigests(t *testing.T, cf *CubeFit, op string) {
 			if i > 0 && d.v[i] > d.v[i-1] {
 				t.Fatalf("%s: server %d: digest not descending at %d", op, b.server, i)
 			}
-			if got := srv.SharedWith(d.id[i]); got != d.v[i] {
+			if got := srv.SharedWith(int(d.id[i])); got != d.v[i] {
 				t.Fatalf("%s: server %d: digest peer %d holds %v, map holds %v", op, b.server, d.id[i], d.v[i], got)
 			}
 		}
@@ -87,7 +87,7 @@ func checkDigests(t *testing.T, cf *CubeFit, op string) {
 			min := d.v[d.n-1]
 			srv.EachShared(func(j int, v float64) {
 				for i := 0; i < d.n; i++ {
-					if d.id[i] == j {
+					if int(d.id[i]) == j {
 						return
 					}
 				}

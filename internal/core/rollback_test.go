@@ -20,12 +20,27 @@ func failOnCall(n int) func(int, packing.Replica) error {
 	}
 }
 
+// checkBinCaches asserts that every bin's cached level and slack match its
+// server as the placement now stands.
+func checkBinCaches(t *testing.T, cf *CubeFit) {
+	t.Helper()
+	for _, b := range cf.bins {
+		srv := cf.p.Server(b.server)
+		level := srv.Level()
+		slack := 1 - level - srv.TopShared(cf.cfg.Gamma-1)
+		if b.level != level || b.slack != slack {
+			t.Fatalf("bin %d: cached level %v and slack %v, server reads %v and %v",
+				b.server, b.level, b.slack, level, slack)
+		}
+	}
+}
+
 // TestPlaceRollbackMidPlacement forces the second replica of a regular
 // admission to fail and asserts the placement is fully unwound: it still
-// validates, the tenant is deregistered, and the same tenant can be
-// re-admitted. Before the rollback fix the tenant stayed registered with
-// an unplaced replica (Validate → ErrIncomplete forever) and retries hit
-// ErrBadReplica.
+// validates, the tenant is deregistered, every bin's caches match the
+// placement, and the same tenant can be re-admitted. Before the rollback
+// fix the tenant stayed registered with an unplaced replica (Validate →
+// ErrIncomplete forever) and retries hit ErrBadReplica.
 func TestPlaceRollbackMidPlacement(t *testing.T) {
 	cf, err := New(Config{Gamma: 2, K: 5})
 	if err != nil {
@@ -47,13 +62,9 @@ func TestPlaceRollbackMidPlacement(t *testing.T) {
 	if _, ok := cf.Placement().Tenant(2); ok {
 		t.Fatal("failed tenant still registered")
 	}
-	for _, b := range cf.bins {
-		for _, ref := range b.refs {
-			if ref.tenant == 2 {
-				t.Fatalf("bin %d still records the failed tenant in slot %d", b.server, ref.slot)
-			}
-		}
-	}
+	checkDigests(t, cf, "rollback")
+	checkFitIndex(t, cf)
+	checkBinCaches(t, cf)
 	if got := cf.Placement().NumTenants(); got != 1 {
 		t.Fatalf("tenants = %d, want 1", got)
 	}
@@ -72,8 +83,8 @@ func TestPlaceRollbackMidPlacement(t *testing.T) {
 }
 
 // TestPlaceRollbackTiny exercises the same rollback on the tiny
-// (class-K accumulation) path, where slot bookkeeping is shared between
-// tenants and a stale slotUsed entry would poison later admissions.
+// (class-K accumulation) path, where several tenants share the open slots
+// and the cube's fill decides when the cursor advances.
 func TestPlaceRollbackTiny(t *testing.T) {
 	cf, err := New(Config{Gamma: 2, K: 5})
 	if err != nil {
@@ -96,8 +107,8 @@ func TestPlaceRollbackTiny(t *testing.T) {
 		t.Fatal("failed tenant still registered")
 	}
 
-	// The freed slot capacity must be reusable: re-admit the tenant and
-	// keep filling the tiny slots.
+	// The rollback must leave the tiny cube usable: re-admit the tenant
+	// and keep filling the tiny slots.
 	for id := 2; id <= 6; id++ {
 		if err := cf.Place(packing.Tenant{ID: packing.TenantID(id), Load: 0.1}); err != nil {
 			t.Fatalf("tenant %d after rollback: %v", id, err)

@@ -252,7 +252,9 @@ func (a *Auditor) drainLocked() {
 		a.inDirty[sid] = false
 		old := a.entries[sid]
 		srv := a.p.Server(sid)
-		reserve, worst := srv.TopSharedSet(k)
+		// The old set's backing array is reused: every reader of an entry
+		// gets a clone (cloneEntry), so no caller holds it.
+		reserve, worst := srv.TopSharedSet(k, old.WorstSet)
 		level := srv.Level()
 		e := Entry{
 			Server:     sid,
@@ -320,7 +322,8 @@ func (a *Auditor) Min() (e Entry, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.drainLocked()
-	return a.minLocked()
+	e, ok = a.minLocked()
+	return cloneEntry(e), ok
 }
 
 // Entry returns the audited state of one server.
@@ -529,7 +532,7 @@ func Exhaustive(p *packing.Placement, redline float64) Report {
 		P50Slack:  1,
 	}
 	for _, srv := range p.Servers() {
-		reserve, worst := srv.TopSharedSet(k)
+		reserve, worst := srv.TopSharedSet(k, nil)
 		level := srv.Level()
 		e := Entry{
 			Server:     srv.ID(),

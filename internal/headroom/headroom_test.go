@@ -364,6 +364,34 @@ func TestContributors(t *testing.T) {
 	}
 }
 
+// TestMinReturnsACopy: writing into the WorstSet that Min returns must
+// not reach the auditor's cached entry, whose backing array later drains
+// reuse.
+func TestMinReturnsACopy(t *testing.T) {
+	cf, err := core.New(core.Config{Gamma: 3, K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := headroom.New(cf.Placement(), 0)
+	cf.SetRecorder(a)
+	r := rng.New(5150)
+	for id := packing.TenantID(1); id <= 50; id++ {
+		_ = cf.Place(packing.Tenant{ID: id, Load: 0.05 + 0.8*r.Float64(), Clients: 4})
+	}
+	min, ok := a.Min()
+	if !ok || len(min.WorstSet) == 0 {
+		t.Fatalf("expected a populated worst set, got %+v (ok=%v)", min, ok)
+	}
+	want := append([]int(nil), min.WorstSet...)
+	for i := range min.WorstSet {
+		min.WorstSet[i] = -1
+	}
+	if got, _ := a.Entry(min.Server); !reflect.DeepEqual(got.WorstSet, want) {
+		t.Fatalf("server %d: cached worst set %v after a write into Min's copy, want %v",
+			min.Server, got.WorstSet, want)
+	}
+}
+
 // TestSummaryMatchesReport: the allocation-light Summary, and
 // LastSummary right after a Drain (what the service layer reads on every
 // scrape), must agree with the full Report at every step of a mixed

@@ -1,9 +1,9 @@
 package packing
 
 import (
+	"cmp"
 	"errors"
 	"slices"
-	"sort"
 	"testing"
 
 	"cubefit/internal/rng"
@@ -28,11 +28,13 @@ const fuzzTenantIDs = 8
 const fuzzMaxOps = 64
 
 // FuzzPlacementOps drives AddTenant, Place, Unplace and RemoveTenant on a
-// small placement (γ from 2 to 4, 2 to 9 servers) and, after every
-// operation, compares the placement with a reference model kept here:
-// the tenants and their hosts, every server's replicas, and the shared
-// loads and levels recomputed from the replica lists the way
-// TestSharedLoadsMatchRecomputation does.
+// small placement (γ from 2 to 4, 2 to 9 servers) and compares the
+// placement with a reference model kept here: the tenants and their
+// hosts, and each server's replicas, with the shared loads and levels
+// recomputed from the replica lists the way
+// TestSharedLoadsMatchRecomputation does. After every operation it checks
+// the tenants and the servers the operation can have changed; after the
+// last one, every server.
 //
 // Input layout: byte 0 picks γ, byte 1 the server count, then four bytes
 // per operation (see fuzzStep), at most fuzzMaxOps of them.
@@ -55,9 +57,11 @@ func FuzzPlacementOps(f *testing.F) {
 			in = in[:max]
 		}
 		for op := 2; op+4 <= len(in); op += 4 {
-			fuzzStep(t, p, m, in[op:op+4])
-			m.check(t, p)
+			touched := fuzzStep(t, p, m, in[op:op+4])
+			m.checkTenants(t, p)
+			m.checkServers(t, p, touched)
 		}
+		m.check(t, p)
 	})
 }
 
@@ -107,10 +111,16 @@ func contains(ids []int, id int) bool {
 // fuzzStep applies one four-byte operation to the placement and to the
 // model, and checks that both accept or reject it alike. A server or
 // replica argument may name one past the valid range, to reach the error
-// paths.
-func fuzzStep(t *testing.T, p *Placement, m *fuzzModel, b []byte) {
-	t.Helper()
+// paths. It returns, as a bit per server ID, the servers the operation
+// can have changed: the server it names and the tenant's hosts before
+// and after. Shared loads change only between a tenant's hosts.
+//
+// fuzzStep and the checks below leave out t.Helper: it walks the stack on
+// every call, which took a quarter of an exec's time, and a failure's own
+// line names the check that failed.
+func fuzzStep(t *testing.T, p *Placement, m *fuzzModel, b []byte) (touched uint16) {
 	id := TenantID(int(b[1]) % fuzzTenantIDs)
+	touched = m.hostMask(id)
 	var got, want error
 	switch int(b[0]) % fuzzOps {
 	case fuzzAdd:
@@ -118,6 +128,9 @@ func fuzzStep(t *testing.T, p *Placement, m *fuzzModel, b []byte) {
 		got, want = p.AddTenant(tn), m.add(tn)
 	case fuzzPlace:
 		sid := int(b[2]) % (m.n + 1)
+		if sid < m.n {
+			touched |= 1 << sid
+		}
 		rep := Replica{Tenant: id, Index: int(b[3]) % (m.gamma + 1), Size: 0.1}
 		if tn, ok := m.tenants[id]; ok && rep.Index < m.gamma {
 			rep = p.Replicas(tn)[rep.Index]
@@ -133,6 +146,7 @@ func fuzzStep(t *testing.T, p *Placement, m *fuzzModel, b []byte) {
 	if (got == nil) != (want == nil) || (want != nil && want != errConflict && !errors.Is(got, want)) {
 		t.Fatalf("op %v: placement returned %v, model %v", b, got, want)
 	}
+	return touched | m.hostMask(id)
 }
 
 // fuzzModel is the reference placement: plain maps, nothing incremental.
@@ -229,9 +243,25 @@ func (m *fuzzModel) remove(id TenantID) error {
 	return nil
 }
 
+// hostMask returns the model's hosts of tenant id, a bit per server ID.
+func (m *fuzzModel) hostMask(id TenantID) uint16 {
+	var mask uint16
+	for _, sid := range m.hosts[id] {
+		if sid >= 0 {
+			mask |= 1 << sid
+		}
+	}
+	return mask
+}
+
 // check compares every observable of the placement with the model.
 func (m *fuzzModel) check(t *testing.T, p *Placement) {
-	t.Helper()
+	m.checkTenants(t, p)
+	m.checkServers(t, p, 1<<m.n-1)
+}
+
+// checkTenants compares the tenants and their hosts with the model.
+func (m *fuzzModel) checkTenants(t *testing.T, p *Placement) {
 	if got := p.NumTenants(); got != len(m.tenants) {
 		t.Fatalf("NumTenants = %d, model %d", got, len(m.tenants))
 	}
@@ -252,6 +282,11 @@ func (m *fuzzModel) check(t *testing.T, p *Placement) {
 	if got := p.Tenants(); !slices.Equal(got, tenants) {
 		t.Fatalf("Tenants() = %v, model %v", got, tenants)
 	}
+}
+
+// checkServers compares the servers in mask, a bit per server ID, with the
+// model: replicas, level, hosted tenants and shared loads with every peer.
+func (m *fuzzModel) checkServers(t *testing.T, p *Placement, mask uint16) {
 	// on[s][id] reports whether the model puts a replica of id on s.
 	on := make([][fuzzTenantIDs]bool, m.n)
 	for s, reps := range m.reps {
@@ -260,12 +295,15 @@ func (m *fuzzModel) check(t *testing.T, p *Placement) {
 		}
 	}
 	for _, si := range p.Servers() {
+		if mask&(1<<si.ID()) == 0 {
+			continue
+		}
 		want := make([]Replica, 0, len(m.reps[si.ID()]))
 		level := 0.0
 		for _, r := range m.reps[si.ID()] {
 			want = append(want, r)
 		}
-		sort.Slice(want, func(i, j int) bool { return want[i].Tenant < want[j].Tenant })
+		slices.SortFunc(want, func(a, b Replica) int { return cmp.Compare(a.Tenant, b.Tenant) })
 		for _, r := range want {
 			level += r.Size
 		}

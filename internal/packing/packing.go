@@ -207,16 +207,24 @@ const topSharedFastK = 4
 // redirects the most load onto this server. The set is deterministic:
 // peers are ranked by decreasing shared load with ties broken by
 // ascending server ID, and only peers actually sharing load appear
-// (failing a non-sharing server adds nothing to the worst case).
-func (s *Server) TopSharedSet(k int) (float64, []int) {
+// (failing a non-sharing server adds nothing to the worst case). The set
+// is written into dst[:0], so a caller that passes the previous set back
+// re-audits a server without allocating.
+func (s *Server) TopSharedSet(k int, dst []int) (float64, []int) {
+	dst = dst[:0]
 	if k <= 0 || len(s.shared) == 0 {
-		return 0, nil
+		return 0, dst
 	}
 	if k > len(s.shared) {
 		k = len(s.shared)
 	}
-	// One pass keeps the k best peers in rank order by insertion.
-	top := make([]sharedLoad, 0, k)
+	// One pass keeps the k best peers in rank order by insertion, on the
+	// stack for every k up to γ−1 = 8.
+	var buf [8]sharedLoad
+	top := buf[:0]
+	if k > len(buf) {
+		top = make([]sharedLoad, 0, k)
+	}
 	for _, e := range s.shared {
 		i := len(top)
 		for i > 0 && outranks(e, top[i-1]) {
@@ -232,12 +240,11 @@ func (s *Server) TopSharedSet(k int) (float64, []int) {
 		top[i] = e
 	}
 	sum := 0.0
-	set := make([]int, k)
-	for i, e := range top {
+	for _, e := range top {
 		sum += e.load
-		set[i] = e.peer
+		dst = append(dst, e.peer)
 	}
-	return sum, set
+	return sum, dst
 }
 
 // outranks orders peers for TopSharedSet: larger shared load first, then

@@ -5,6 +5,8 @@ import (
 	"math"
 	"sort"
 	"time"
+
+	"cubefit/internal/packing"
 )
 
 // transitionWindow bounds the retained transition history; the total
@@ -179,9 +181,12 @@ func burnOver(countR, goodR *seriesRing, nowNs, windowNs int64, budget float64) 
 	return bad / budget, true
 }
 
-// headroomFinding enforces the red-line floor (critical) and projects
-// the erosion trend (degraded when the current slope crosses the floor
-// within the projection horizon).
+// headroomFinding reads the minimum failover slack. Slack below 0 (beyond
+// packing's capacity tolerance) means the robustness invariant is violated,
+// which only a bug can cause: critical. Slack below the red-line floor is
+// degraded, because CubeFit packs mature bins close to it by design; so is
+// an erosion trend whose current slope crosses the floor within the
+// projection horizon.
 func (e *engine) headroomFinding(nowNs int64) (Finding, bool) {
 	cfg := e.cfg.Headroom
 	r := e.store.lookup(cfg.Series)
@@ -189,9 +194,16 @@ func (e *engine) headroomFinding(nowNs int64) (Finding, bool) {
 	if !ok {
 		return Finding{}, false
 	}
+	if v < -packing.CapacityEps {
+		return Finding{
+			Rule: "headroom-violation", Severity: Critical,
+			Value: v, Threshold: 0,
+			Evidence: fmt.Sprintf("min failover slack %.3g below 0: a worst-case failure set would overload a server", v),
+		}, true
+	}
 	if v < cfg.Floor {
 		return Finding{
-			Rule: "headroom-redline", Severity: Critical,
+			Rule: "headroom-redline", Severity: Degraded,
 			Value: v, Threshold: cfg.Floor,
 			Evidence: fmt.Sprintf("min failover slack %.3f below red line %.3f", v, cfg.Floor),
 		}, true

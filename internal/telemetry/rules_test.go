@@ -3,6 +3,8 @@ package telemetry
 import (
 	"testing"
 	"time"
+
+	"cubefit/internal/packing"
 )
 
 // testConfig returns short-window rule settings the table tests drive
@@ -126,6 +128,8 @@ func TestWALRuleAndHysteresis(t *testing.T) {
 	}
 }
 
+// TestHeadroomRedlineFloor: slack below the red-line floor, where CubeFit
+// packs mature bins by design, is degraded, not critical.
 func TestHeadroomRedlineFloor(t *testing.T) {
 	e := newEngine(testConfig())
 	script := func(i int) map[string]float64 {
@@ -140,9 +144,36 @@ func TestHeadroomRedlineFloor(t *testing.T) {
 	}
 	got := transitionsOf(t, e, 10, script)
 	wantTransitions(t, got, []Transition{
-		{TNs: sec(4), From: Healthy, To: Critical},
-		{TNs: sec(7), From: Critical, To: Healthy},
+		{TNs: sec(4), From: Healthy, To: Degraded},
+		{TNs: sec(7), From: Degraded, To: Healthy},
 	})
+	if got[0].Rules[0] != "headroom-redline" {
+		t.Fatalf("rules = %v", got[0].Rules)
+	}
+}
+
+// TestHeadroomNegativeSlackCritical: slack below 0 beyond the capacity
+// tolerance violates the robustness invariant and is critical at once;
+// slack within the tolerance is only below the floor.
+func TestHeadroomNegativeSlackCritical(t *testing.T) {
+	e := newEngine(testConfig())
+	got := transitionsOf(t, e, 3, func(i int) map[string]float64 {
+		slack := 0.4
+		switch i {
+		case 2:
+			slack = -packing.CapacityEps / 2 // rounding, not a violation
+		case 3:
+			slack = -0.01
+		}
+		return map[string]float64{"slack": slack}
+	})
+	wantTransitions(t, got, []Transition{
+		{TNs: sec(2), From: Healthy, To: Degraded},
+		{TNs: sec(3), From: Degraded, To: Critical},
+	})
+	if len(got[1].Rules) != 1 || got[1].Rules[0] != "headroom-violation" {
+		t.Fatalf("critical rules = %v", got[1].Rules)
+	}
 }
 
 func TestHeadroomErosionProjection(t *testing.T) {
@@ -237,7 +268,7 @@ func TestPlacerStallWatchdog(t *testing.T) {
 
 func TestFindingsReportedInStatus(t *testing.T) {
 	e := newEngine(testConfig())
-	e.ingest(sec(1), map[string]float64{"wal": 1, "slack": 0.01})
+	e.ingest(sec(1), map[string]float64{"wal": 1, "slack": -0.01})
 	if e.state != Critical {
 		t.Fatalf("state = %v, want critical", e.state)
 	}

@@ -190,8 +190,9 @@ type BurnConfig struct {
 // HeadroomConfig parameterizes the red-line floor and erosion projection.
 type HeadroomConfig struct {
 	Series string `json:"series"`
-	// Floor is the red-line slack: below it the cluster cannot absorb its
-	// worst-case failure set and the rule is immediately critical.
+	// Floor is the red-line slack: below it the rule is degraded. Slack
+	// below 0, where the cluster cannot absorb its worst-case failure set,
+	// is critical whatever the floor.
 	Floor float64 `json:"floor"`
 	// TrendWindow is the span the erosion slope is estimated over (at
 	// least half of it must be covered by samples before projecting).
