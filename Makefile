@@ -31,8 +31,8 @@ vet-build:
 	$(GO) build -o bin/cubefit-vet ./cmd/cubefit-vet
 
 # Project-specific static analysis (see README.md "Static analysis"):
-# cubefit-vet enforces the numeric, determinism, event-pool, fail-closed
-# I/O, locking, and allocation invariants; the gofmt check keeps the tree
+# cubefit-vet enforces the numeric, determinism, fail-closed I/O,
+# locking, and allocation invariants; the gofmt check keeps the tree
 # formatting-clean. Both are blocking CI gates.
 lint: $(addprefix lint-,$(LINT_GROUPS))
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -153,14 +153,22 @@ healthcheck:
 
 # The per-layer microbenchmark ledger: fleet-scale engine admissions with
 # their heap bytes per tenant, the recorder-free admit/depart cycle, the
-# headroom auditor's refresh after one tenant's mutation, the log's
-# per-record encode and a 10k-tenant recovery, each repeated PERF_COUNT
-# times with allocation counts, into perf.out. Nothing is gated on it;
-# compare two commits' files with benchstat or by eye.
+# placer's commit path per admission (engine, event delivery, re-audit
+# and group commit on a 100k-tenant fleet), the headroom auditor's
+# refresh after one tenant's mutation, the log's per-record encode and a
+# 10k-tenant recovery, each repeated PERF_COUNT times with allocation
+# counts, into perf.out. Nothing is gated on it; compare two commits'
+# files with benchstat or by eye. BenchmarkPlaceFleet rebuilds its fleet
+# untimed after every tenants/10 timed admissions, and BenchmarkPlacerAdmit
+# grows its fleet by the timed ones, so both run a fixed 20000 admissions
+# per repetition: the rebuilds stay bounded and two runs measure the same
+# fleets.
 PERF_COUNT ?= 5
 perf:
 	@set -e; { \
-	$(GO) test -run '^$$' -bench '^(BenchmarkPlaceFleet|BenchmarkPlaceNoRecorder)$$' -count $(PERF_COUNT) -benchmem ./internal/core/; \
+	$(GO) test -run '^$$' -bench '^BenchmarkPlaceNoRecorder$$' -count $(PERF_COUNT) -benchmem ./internal/core/; \
+	$(GO) test -run '^$$' -bench '^BenchmarkPlaceFleet$$' -benchtime 20000x -count $(PERF_COUNT) -benchmem ./internal/core/; \
+	$(GO) test -run '^$$' -bench '^BenchmarkPlacerAdmit$$' -benchtime 20000x -count $(PERF_COUNT) -benchmem ./internal/api/; \
 	$(GO) test -run '^$$' -bench '^BenchmarkHeadroomIncremental$$' -count $(PERF_COUNT) -benchmem .; \
 	$(GO) test -run '^$$' -bench '^BenchmarkWALRecord$$' -count $(PERF_COUNT) -benchmem ./internal/obs/; \
 	$(GO) test -run '^$$' -bench '^BenchmarkRecoverFleet$$/^tenants10000$$' -count $(PERF_COUNT) -benchmem ./internal/recovery/; \

@@ -24,7 +24,7 @@ func TestRunList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("run(-list) = %d, want 0", code)
 	}
-	for _, name := range []string{"epsconst", "eventpool", "failclosed", "floatcmp", "guardedby", "hotpath", "lockpair", "maprange", "randsource", "wallclock"} {
+	for _, name := range []string{"epsconst", "failclosed", "floatcmp", "guardedby", "hotpath", "lockpair", "maprange", "randsource", "wallclock"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %q:\n%s", name, out)
 		}

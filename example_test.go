@@ -57,18 +57,23 @@ func ExampleWorstCaseFailures() {
 	// worst-case post-failure load within capacity: true
 }
 
-// Example_decisionRecorder attaches a flight-recorder ring to the engine
-// and shows that a duplicate admission attempt is rejected without
-// disturbing the original placement: the decision log still reconstructs
-// the first admission and the tenant stays admitted.
+// decisionLog is a flight recorder that keeps every event in memory.
+type decisionLog []obs.Event
+
+func (l *decisionLog) Record(e obs.Event) { *l = append(*l, e) }
+
+// Example_decisionRecorder attaches a flight recorder to the engine and
+// shows that a duplicate admission attempt is rejected without disturbing
+// the original placement: the decision log still reconstructs the first
+// admission and the tenant stays admitted.
 func Example_decisionRecorder() {
 	cf, err := core.New(core.Config{Gamma: 2, K: 10})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	ring := obs.NewRing(100)
-	cf.SetRecorder(ring)
+	var log decisionLog
+	cf.SetRecorder(&log)
 	t := packing.Tenant{ID: 7, Load: 0.3}
 	if err := cf.Place(t); err != nil {
 		fmt.Println(err)
@@ -76,7 +81,7 @@ func Example_decisionRecorder() {
 	}
 	// Duplicate attempt — rejected, tenant stays admitted.
 	_ = cf.Place(t)
-	d, ok := obs.DecisionFor(ring.Events(), 7)
+	d, ok := obs.DecisionFor(log, 7)
 	_, admitted := cf.Placement().Tenant(7)
 	fmt.Printf("ok=%v path=%q replicas=%d (tenant still admitted: %v)\n",
 		ok, d.Path, len(d.Replicas), admitted)

@@ -23,9 +23,6 @@
 //   - maprange: no `for range` over a map in the determinism-critical
 //     packages (core, packing, sim, headroom, recovery) unless the body
 //     is argued order-insensitive in a vet-allow.
-//   - eventpool: every obs.AcquireEvent is paired with ReleaseEvent (or
-//     an ownership transfer) on every path; leaks and double releases
-//     are rejected.
 //   - failclosed: no discarded error from Sync/Flush/Close/Write on the
 //     obs sinks or the raw handles beneath them (the WAL fail-closed
 //     contract).
@@ -54,7 +51,6 @@ const packingPath = "cubefit/internal/packing"
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Epsconst,
-		Eventpool,
 		Failclosed,
 		Floatcmp,
 		Guardedby,

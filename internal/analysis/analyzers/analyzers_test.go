@@ -8,8 +8,8 @@ import (
 
 func TestAllIsComplete(t *testing.T) {
 	all := All()
-	if len(all) != 10 {
-		t.Fatalf("All() returned %d analyzers, want 10", len(all))
+	if len(all) != 9 {
+		t.Fatalf("All() returned %d analyzers, want 9", len(all))
 	}
 	seen := make(map[string]bool)
 	for _, a := range all {
@@ -66,11 +66,6 @@ func TestMaprange(t *testing.T) {
 	analysistest.Run(t, Maprange, "testdata/maprange/flagged", "cubefit/internal/core")
 	analysistest.RunClean(t, Maprange, "testdata/maprange/clean", "cubefit/internal/core")
 	analysistest.RunClean(t, Maprange, "testdata/maprange/other", "cubefit/fixture/maprange")
-}
-
-func TestEventpool(t *testing.T) {
-	analysistest.Run(t, Eventpool, "testdata/eventpool/flagged", "cubefit/fixture/eventpool")
-	analysistest.RunClean(t, Eventpool, "testdata/eventpool/clean", "cubefit/fixture/eventpool")
 }
 
 func TestFailclosed(t *testing.T) {

@@ -27,6 +27,9 @@ var Failclosed = &analysis.Analyzer{
 	Run:  runFailclosed,
 }
 
+// obsPath is the package owning the log and the event sinks.
+const obsPath = "cubefit/internal/obs"
+
 // sinkMethods are the durability-relevant methods whose error results
 // must be consumed.
 var sinkMethods = map[string]bool{"Sync": true, "Flush": true, "Close": true, "Write": true}

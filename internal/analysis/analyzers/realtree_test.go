@@ -77,9 +77,6 @@ func TestRealTreeHotpathAnnotationsPresent(t *testing.T) {
 		"cubefit/internal/core.topKDigest.insert",
 		"cubefit/internal/core.topKDigest.topSum",
 		"cubefit/internal/core.topKDigest.adjustedTopSum",
-		// The pooled event seam every emission crosses.
-		"cubefit/internal/obs.AcquireEvent",
-		"cubefit/internal/obs.ReleaseEvent",
 		// The write-ahead log's record encoder, run for every operation
 		// under the controller lock.
 		"cubefit/internal/obs.appendOp",

@@ -36,14 +36,18 @@
 // when the wrapped algorithm reports its admission path. GET /metrics
 // serves the Prometheus text exposition. When the algorithm supports a
 // decision flight recorder (internal/obs), the controller attaches one
-// automatically: the last events stay inspectable at GET /debug/events,
-// GET /explain/tenants/{id} reconstructs a tenant's decision path with
-// its failover attribution, and the same stream feeds the engine gauges
-// and per-path admission latency histograms on /metrics. The stream also
-// drives an incremental robustness headroom auditor (internal/headroom):
-// GET /debug/headroom reports every server's worst-case failover slack and
-// arg-max failure set, GET /debug/headroom/servers/{id} drills one server
-// down to the tenants contributing its worst set, and the
+// automatically: a per-mutation buffer whose events it delivers once,
+// when the mutation completes (mutatedLocked). The last events stay
+// inspectable at GET /debug/events, each carrying the time of its
+// mutation; GET /explain/tenants/{id} reconstructs a tenant's decision
+// path with its failover attribution; and the same events feed the
+// per-kind event counter and the engine gauges on /metrics. Admission
+// latency comes from the pipeline spans' place stage. The servers each
+// mutation touched drive an incremental robustness headroom auditor
+// (internal/headroom): GET /debug/headroom reports every server's
+// worst-case failover slack and arg-max failure set, GET
+// /debug/headroom/servers/{id} drills one server down to the tenants
+// contributing its worst set, and the
 // cubefit_headroom_* gauges track the minimum and median slack, the
 // red-lined server count, and overload-on-failure transitions. A
 // mutation only re-audits the servers it touched; those gauges, like the
@@ -118,18 +122,26 @@ type Controller struct {
 	registry   *metrics.Registry
 	httpM      *metrics.HTTPMetrics
 	admissions *metrics.CounterVec
+	// pending is the engine's decision recorder: it buffers the events of
+	// the mutation in progress until mutatedLocked delivers them.
+	//cubefit:guarded-by mu
+	pending eventBuffer
 	// ring retains the most recent decision events (nil when the wrapped
 	// algorithm is not recordable). It has its own lock, so the event
 	// endpoints never contend with placement mutations.
 	ring *obs.Ring
 	// auditor incrementally tracks worst-case failover headroom from the
-	// same event stream (nil when the algorithm is not recordable); it
-	// feeds the cubefit_headroom_* gauges and the /debug/headroom routes.
+	// servers each mutation touched (nil when the algorithm is not
+	// recordable); it feeds the cubefit_headroom_* gauges and the
+	// /debug/headroom routes.
 	auditor   *headroom.Auditor
 	headroomM *headroomMetrics
+	// engineM holds the event-fed engine families of /metrics (nil when
+	// the algorithm is not recordable).
+	engineM *engineMetrics
 
-	// clk is the time source for pipeline span stamping (and event
-	// stamping); WithClock substitutes a fake in tests.
+	// clk is the time source for pipeline span stamping and for the time
+	// of each mutation's events; WithClock substitutes a fake in tests.
 	clk clock.Clock
 	// tracer stamps every admission with per-stage timestamps and owns the
 	// pipeline histograms, queue gauges, and GET /debug/pipeline state
@@ -157,9 +169,10 @@ type Controller struct {
 	walErrG *metrics.Gauge
 	procM   *metrics.ProcessMetrics
 
-	// wal, when attached, receives the decision event stream and is
-	// group-committed by the placer before admissions are acked; a WAL
-	// error fails the admission path closed (see placeJobs).
+	// wal, when attached, receives every decision event through Record
+	// (mutatedLocked) and is group-committed by the placer before
+	// admissions are acked; a WAL error fails the admission path closed
+	// (see placeJobs).
 	wal obs.CommitLog
 	// Admission pipeline (see pipeline.go): queue feeds the single placer
 	// goroutine, sendMu+closed gate producers during shutdown, placerDone
@@ -174,15 +187,16 @@ type Controller struct {
 // Option configures a Controller beyond its required dependencies.
 type Option func(*Controller)
 
-// WithWAL attaches a write-ahead log as the last recorder of the decision
-// event stream: *obs.WAL keeps one record per operation the stream
-// closes (admission, rejected admission, departure), group-committed
-// before admissions are acked, and a log error disables the admission
-// path (fail closed) instead of dropping operations. The rest of the
-// stream stays in the event ring behind GET /debug/events. Requires a
-// recordable algorithm that also implements Remover, so a failed commit
-// can be rolled back. The controller takes ownership: Close performs the
-// final commit and closes the log.
+// WithWAL attaches a write-ahead log to the decision event stream: every
+// mutation's events reach its Record, in engine order, before the group
+// commit. *obs.WAL keeps one record per operation the stream closes
+// (admission, rejected admission, departure), group-committed before
+// admissions are acked, and a log error disables the admission path
+// (fail closed) instead of dropping operations. The rest of the stream
+// stays in the event ring behind GET /debug/events. Requires a recordable
+// algorithm that also implements Remover, so a failed commit can be
+// rolled back. The controller takes ownership: Close performs the final
+// commit and closes the log.
 func WithWAL(w obs.CommitLog) Option {
 	return func(c *Controller) { c.wal = w }
 }
@@ -203,8 +217,9 @@ func WithoutSpanTracing() Option {
 	return func(c *Controller) { c.tracing = false }
 }
 
-// WithClock substitutes the controller's time source for event and span
-// stamping. Tests use a fake; the default is the monotonic real clock.
+// WithClock substitutes the controller's time source for span stamping
+// and event times. Tests use a fake; the default is the monotonic real
+// clock.
 func WithClock(clk clock.Clock) Option {
 	return func(c *Controller) { c.clk = clk }
 }
@@ -254,20 +269,21 @@ func NewController(alg packing.Algorithm, model workload.LoadModel, opts ...Opti
 		}
 	}
 	if canRecord {
-		// Flight recorder: one stamped stream tees into the in-memory
-		// ring (for /debug/events and /explain), the engine metric sink
-		// (gauges + per-path latency histograms on /metrics), the
-		// incremental headroom auditor (/debug/headroom and the
-		// cubefit_headroom_* gauges), and — when attached — the
-		// write-ahead log.
+		// Flight recorder: the engine buffers each mutation's events, and
+		// mutatedLocked delivers them once — to the write-ahead log when
+		// attached, to the incremental headroom auditor (/debug/headroom
+		// and the cubefit_headroom_* gauges), to the in-memory ring (for
+		// /debug/events and /explain) and to the engine families on
+		// /metrics.
 		c.ring = obs.NewRing(eventRingCapacity)
 		c.auditor = headroom.New(alg.Placement(), 0)
 		c.headroomM = newHeadroomMetrics(c.registry)
-		sinks := []obs.Recorder{c.ring, metrics.NewEngineSink(c.registry), c.auditor}
-		if c.wal != nil {
-			sinks = append(sinks, c.wal)
-		}
-		rec.SetRecorder(obs.Stamp(c.clk, obs.Tee(sinks...)))
+		c.engineM = newEngineMetrics(c.registry)
+		// The recorder is engine state: attach it under the lock that
+		// guards every engine call.
+		c.mu.Lock()
+		rec.SetRecorder(&c.pending)
+		c.mu.Unlock()
 		// Audit the servers a recovered placement already holds, so the
 		// first read of the gauges sees them.
 		c.auditor.Drain()
@@ -557,6 +573,11 @@ func (c *Controller) handleRemoveTenant(w http.ResponseWriter, r *http.Request) 
 	}
 	// Captured before removal so a failed WAL commit can re-admit it.
 	t, _ := c.alg.Placement().Tenant(id)
+	if c.auditor != nil {
+		// The depart event is delivered after Remove, when the placement
+		// no longer holds the tenant's hosts: mark them for re-audit now.
+		c.auditor.MarkTenant(id)
+	}
 	err := rem.Remove(id)
 	if err == nil {
 		c.mutatedLocked()
@@ -597,16 +618,35 @@ func (c *Controller) handlePlacement(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, c.snapshot())
 }
 
-// mutatedLocked runs after every engine mutation, under the write lock:
-// it drops the cached placement snapshot and re-audits the servers the
-// mutation touched, O(those servers), so that the headroom gauges can be
-// computed later from the audit alone, without the controller lock (see
-// refreshHeadroom), and no overload transition goes uncounted.
+// mutatedLocked runs after every engine mutation, under the write lock.
+// It drops the cached placement snapshot and delivers the mutation's
+// decision events once:
+//   - each event, in engine order, to the log's Record, so its records
+//     are staged before the group commit;
+//   - the servers they placed on or opened to the auditor, which then
+//     re-audits every touched server, O(those servers), so the headroom
+//     gauges can be computed later without the controller lock (see
+//     refreshHeadroom) and no overload transition goes uncounted (the
+//     hosts of removed tenants were marked before the removal);
+//   - the whole batch to the ring, numbered on from its total and
+//     stamped with one time;
+//   - the per-kind counts and the engine gauges to /metrics.
 func (c *Controller) mutatedLocked() {
 	c.snap = nil
-	if c.auditor != nil {
-		c.auditor.Drain()
+	if c.auditor == nil {
+		return
 	}
+	events := c.pending.events
+	if c.wal != nil {
+		for i := range events {
+			c.wal.Record(events[i])
+		}
+	}
+	c.auditor.MarkPlaced(events)
+	c.auditor.Drain()
+	c.ring.RecordBatch(events, c.clk.Now())
+	c.engineM.observe(events)
+	c.pending.reset()
 }
 
 // snapshot returns the cached placement snapshot, capturing it under the

@@ -1,9 +1,9 @@
 package api
 
 import (
-	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -135,34 +135,79 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
-// TestRecorderFeedsEngineMetrics checks the teed EngineSink surfaces the
-// flight-recorder stream on /metrics.
+// TestRecorderFeedsEngineMetrics checks the event-fed engine families on
+// /metrics against the engine and the complete event stream: the
+// per-kind counter against the ring's events by kind, servers opened and
+// active mature bins against the engine, and each cube cursor against the
+// counter of its cube's last advance. The attempt-to-admit latency family
+// is gone: the span's place stage times admissions.
 func TestRecorderFeedsEngineMetrics(t *testing.T) {
-	srv := newServer(t)
-	if code := doJSON(t, "POST", srv.URL+"/v1/tenants",
-		map[string]any{"id": 1, "load": 0.3}, nil); code != http.StatusCreated {
-		t.Fatalf("place: status %d", code)
-	}
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := string(body)
-	for _, want := range []string{
-		`cubefit_engine_events_total{kind="attempt"} 1`,
-		`cubefit_engine_events_total{kind="admit"} 1`,
-		"cubefit_servers_opened",
-		"cubefit_place_duration_seconds_count",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q", want)
+	srv, cf, ctrl := newEngineServer(t)
+	for b := 0; b < 8; b++ {
+		items := make([]map[string]any, 50)
+		for i := range items {
+			items[i] = map[string]any{"id": b*50 + i, "clients": 1 + (b*50+i)%15}
+		}
+		if code := doJSON(t, "POST", srv.URL+"/v1/tenants:batch", map[string]any{"tenants": items}, nil); code != http.StatusOK {
+			t.Fatalf("batch %d: status %d", b, code)
 		}
 	}
+	// Departures free capacity, so retired bins can come back.
+	for id := 0; id < 400; id += 3 {
+		if code := doDelete(t, srv.URL+"/v1/tenants/"+strconv.Itoa(id)); code != http.StatusNoContent {
+			t.Fatalf("delete %d: status %d", id, code)
+		}
+	}
+	total, events := ctrl.ring.Snapshot(-1)
+	if total != uint64(len(events)) {
+		t.Fatalf("ring wrapped (%d of %d events); the test needs the whole stream", len(events), total)
+	}
+	want := map[string]float64{
+		"cubefit_servers_opened":     float64(cf.Placement().NumServers()),
+		"cubefit_active_mature_bins": float64(cf.NumActiveMatureBins()),
+	}
+	for _, e := range events {
+		want[`cubefit_engine_events_total{kind="`+string(e.Kind)+`"}`]++
+		if e.Kind == obs.KindCubeAdvance {
+			want[`cubefit_cube_cursor{class="`+strconv.Itoa(e.Class)+`",tiny="`+strconv.FormatBool(e.Tiny)+`"}`] = float64(e.Counter)
+		}
+	}
+	for _, kind := range []obs.Kind{obs.KindAttempt, obs.KindAdmit, obs.KindDepart, obs.KindBinOpen, obs.KindBinMature, obs.KindCubeAdvance} {
+		if want[`cubefit_engine_events_total{kind="`+string(kind)+`"}`] == 0 {
+			t.Fatalf("the workload recorded no %s event", kind)
+		}
+	}
+	got := scrapeSamples(t, srv.URL)
+	for name, w := range want {
+		if g, ok := got[name]; !ok || g != w {
+			t.Errorf("%s = %v (present %v), want %v", name, g, ok, w)
+		}
+	}
+	for name := range got {
+		if strings.HasPrefix(name, "cubefit_place_duration_seconds") {
+			t.Errorf("removed latency family still exported: %s", name)
+		}
+	}
+}
+
+// scrapeSamples fetches GET /metrics and returns every sample by its
+// name and labels as exposed.
+func scrapeSamples(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	body := getBody(t, url+"/metrics")
+	out := make(map[string]float64)
+	for _, line := range strings.Split(string(body), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
 }
 
 // TestExplainOnBaselineEngine covers a recordable single-stage engine

@@ -14,11 +14,12 @@ import (
 // goroutine. The placer coalesces whatever jobs are waiting into a single
 // write-lock acquisition, places the tenants in arrival order (the exact
 // serial semantics of the engine), invalidates the placement snapshot once
-// per batch, re-audits the servers the batch touched for the headroom
-// gauges, and then performs one write-ahead-log group commit before any of
-// the batched admissions are acked. The gauges themselves are computed
-// when read (refreshGauges). Handlers block on their job's future; arrival
-// order is the queue order, so a batch of N is indistinguishable from N
+// per batch, delivers the batch's decision events to the log, the
+// headroom auditor, the event ring and the engine metrics, and then
+// performs one write-ahead-log group commit before any of the batched
+// admissions are acked. The headroom gauges are computed when read
+// (refreshGauges). Handlers block on their job's future; arrival order is
+// the queue order, so a batch of N is indistinguishable from N
 // back-to-back single requests.
 
 const (
@@ -199,6 +200,9 @@ func (c *Controller) rollbackBatch(jobs []*admitJob, msg string) {
 				it.status = http.StatusServiceUnavailable
 				it.err = msg
 				it.servers = nil
+				// The depart event is delivered after Remove, when the
+				// placement no longer holds the tenant's hosts.
+				c.auditor.MarkTenant(it.tenant.ID)
 				_ = rem.Remove(it.tenant.ID)
 			}
 		}

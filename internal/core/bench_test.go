@@ -187,7 +187,9 @@ func BenchmarkPlaceNoRecorder(b *testing.B) {
 // admissions have grown the fleet by a tenth, it is rebuilt off the
 // clock, so every timed Place lands on a fleet of N to 1.1·N tenants at
 // any b.N. First-stage cost grows with the logarithm of the fleet, so the
-// 250k point should stay within 2× of the 10k point.
+// 250k point should stay within 2× of the 10k point. The rebuilds place
+// about ten tenants off the clock per timed one, so a one-second
+// -benchtime spends minutes on them; `make perf` runs a fixed count.
 //
 // heap-B/tenant is the engine's memory ledger: the live heap the first
 // fleet of each size added, after a forced GC, divided by its tenants.

@@ -114,16 +114,15 @@ const engineName = "cubefit"
 // instance.
 func (cf *CubeFit) SetRecorder(r obs.Recorder) { cf.rec = r }
 
-// emit labels, forwards and releases one pooled event. Callers must guard
-// with `cf.rec != nil` so the default path pays one nil check and never
-// acquires the event; events are recorded by value, so releasing the
-// struct back to the pool immediately afterwards is safe.
+// emit labels and forwards one event built on the caller's stack. Callers
+// must guard with `cf.rec != nil` so the default path pays one nil check
+// and never builds the event; the recorder gets a copy, so the event
+// itself never leaves the stack.
 //
 //cubefit:hotpath
 func (cf *CubeFit) emit(e *obs.Event) {
 	e.Engine = engineName
 	cf.rec.Record(*e)
-	obs.ReleaseEvent(e)
 }
 
 func (cf *CubeFit) observe(p AdmissionPath) {
@@ -270,11 +269,11 @@ func (cf *CubeFit) Config() Config { return cf.cfg }
 // same tenant can be re-admitted later.
 func (cf *CubeFit) Place(t packing.Tenant) error {
 	if cf.rec != nil {
-		e := obs.AcquireEvent(obs.KindAttempt)
+		e := obs.NewEvent(obs.KindAttempt)
 		e.Tenant = int(t.ID)
 		e.Size = t.Load
 		e.Clients = t.Clients
-		cf.emit(e)
+		cf.emit(&e)
 	}
 	if _, exists := cf.p.Tenant(t.ID); exists {
 		err := fmt.Errorf("core: %w: tenant %d already admitted", packing.ErrDuplicateTenant, t.ID)
@@ -319,10 +318,10 @@ func (cf *CubeFit) Place(t packing.Tenant) error {
 // when attached, gets the admit event carrying the path label.
 func (cf *CubeFit) admit(id packing.TenantID, path AdmissionPath) {
 	if cf.rec != nil {
-		e := obs.AcquireEvent(obs.KindAdmit)
+		e := obs.NewEvent(obs.KindAdmit)
 		e.Tenant = int(id)
 		e.Path = path.String()
-		cf.emit(e)
+		cf.emit(&e)
 	}
 	cf.observe(path)
 }
@@ -330,11 +329,11 @@ func (cf *CubeFit) admit(id packing.TenantID, path AdmissionPath) {
 // reject closes a failed admission that placed nothing.
 func (cf *CubeFit) reject(id packing.TenantID, err error) {
 	if cf.rec != nil {
-		e := obs.AcquireEvent(obs.KindReject)
+		e := obs.NewEvent(obs.KindReject)
 		e.Tenant = int(id)
 		e.Path = AdmitRejected.String()
 		e.Reason = err.Error()
-		cf.emit(e)
+		cf.emit(&e)
 	}
 	cf.observe(AdmitRejected)
 }
@@ -343,10 +342,10 @@ func (cf *CubeFit) reject(id packing.TenantID, err error) {
 // rejected.
 func (cf *CubeFit) rollbackAdmission(id packing.TenantID, err error) {
 	if cf.rec != nil {
-		e := obs.AcquireEvent(obs.KindRollback)
+		e := obs.NewEvent(obs.KindRollback)
 		e.Tenant = int(id)
 		e.Reason = err.Error()
-		cf.emit(e)
+		cf.emit(&e)
 	}
 	cf.unwind(id)
 	cf.reject(id, err)
@@ -364,9 +363,9 @@ func (cf *CubeFit) Remove(id packing.TenantID) error {
 		return fmt.Errorf("%w: %d", packing.ErrUnknownTenant, id)
 	}
 	if cf.rec != nil {
-		e := obs.AcquireEvent(obs.KindDepart)
+		e := obs.NewEvent(obs.KindDepart)
 		e.Tenant = int(id)
-		cf.emit(e)
+		cf.emit(&e)
 	}
 	cf.unwind(id)
 	return nil
@@ -460,7 +459,7 @@ func (cf *CubeFit) placeAtCursor(cb *cube, reps []packing.Replica) error {
 			return fmt.Errorf("core: internal: cube placement rejected: %w", err)
 		}
 		if cf.rec != nil {
-			e := obs.AcquireEvent(obs.KindCubePlace)
+			e := obs.NewEvent(obs.KindCubePlace)
 			e.Tenant = int(rep.Tenant)
 			e.Replica = rep.Index
 			e.Server = b.server
@@ -471,7 +470,7 @@ func (cf *CubeFit) placeAtCursor(cb *cube, reps []packing.Replica) error {
 			//cubefit:vet-allow hotpath -- recorder-only: the recorded event owns its digit trail, so the copy is unavoidable and the path is skipped without a recorder
 			e.Digits = append([]int(nil), cb.digits...)
 			e.Size = rep.Size
-			cf.emit(e)
+			cf.emit(&e)
 		}
 	}
 	// Refresh reserve caches once per touched server (shared loads changed
@@ -524,12 +523,12 @@ func (cf *CubeFit) advance(cb *cube) {
 		}
 	}
 	if cf.rec != nil {
-		e := obs.AcquireEvent(obs.KindCubeAdvance)
+		e := obs.NewEvent(obs.KindCubeAdvance)
 		e.Class = cb.tau
 		e.Tiny = cb.tiny
 		e.Counter = cb.cnt
 		e.Digits = closedDigits
-		cf.emit(e)
+		cf.emit(&e)
 	}
 }
 
@@ -585,11 +584,11 @@ func (cf *CubeFit) binAt(cb *cube, j, binIdx int) (*bin, error) {
 	cf.bins = append(cf.bins, b)
 	cb.groups[j][binIdx] = sid
 	if cf.rec != nil {
-		e := obs.AcquireEvent(obs.KindBinOpen)
+		e := obs.NewEvent(obs.KindBinOpen)
 		e.Server = sid
 		e.Class = cb.tau
 		e.Tiny = cb.tiny
-		cf.emit(e)
+		cf.emit(&e)
 	}
 	return b, nil
 }
@@ -598,12 +597,12 @@ func (cf *CubeFit) binAt(cb *cube, j, binIdx int) (*bin, error) {
 func (cf *CubeFit) matureBin(b *bin) {
 	b.mature = true
 	if cf.rec != nil {
-		e := obs.AcquireEvent(obs.KindBinMature)
+		e := obs.NewEvent(obs.KindBinMature)
 		e.Server = b.server
 		e.Class = int(b.tau)
 		e.Tiny = b.tiny
 		e.Level = cf.p.Server(b.server).Level()
-		cf.emit(e)
+		cf.emit(&e)
 	}
 	cf.refreshBin(b)
 }
@@ -635,9 +634,9 @@ func (cf *CubeFit) refreshBin(b *bin) {
 		// (Re-)activate: either freshly matured, or slack was regained by a
 		// tenant departure.
 		if b.retired && cf.rec != nil {
-			e := obs.AcquireEvent(obs.KindBinReactivate)
+			e := obs.NewEvent(obs.KindBinReactivate)
 			e.Server = b.server
-			cf.emit(e)
+			cf.emit(&e)
 		}
 		b.retired = false
 		b.activeIdx = int32(len(cf.active))
@@ -655,9 +654,9 @@ func (cf *CubeFit) refreshBin(b *bin) {
 // transition (refreshBin revisits retired bins after departures).
 func (cf *CubeFit) retireBin(b *bin) {
 	if !b.retired && cf.rec != nil {
-		e := obs.AcquireEvent(obs.KindBinRetire)
+		e := obs.NewEvent(obs.KindBinRetire)
 		e.Server = b.server
-		cf.emit(e)
+		cf.emit(&e)
 	}
 	b.retired = true
 }

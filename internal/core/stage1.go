@@ -17,21 +17,21 @@ func (cf *CubeFit) tryFirstStage(t packing.Tenant, reps []packing.Replica) bool 
 	for j := range reps {
 		b, probed := cf.bestMFit(t, reps[j])
 		if cf.rec != nil {
-			e := obs.AcquireEvent(obs.KindStage1Probe)
+			e := obs.NewEvent(obs.KindStage1Probe)
 			e.Tenant = int(t.ID)
 			e.Replica = j
 			e.Probes = probed
 			if b != nil {
 				e.Server = b.server
 			}
-			cf.emit(e)
+			cf.emit(&e)
 		}
 		if b == nil {
 			if placed > 0 && cf.rec != nil {
-				e := obs.AcquireEvent(obs.KindRollback)
+				e := obs.NewEvent(obs.KindRollback)
 				e.Tenant = int(t.ID)
 				e.Reason = "first-stage fallback: no mature bin m-fits the replica"
-				cf.emit(e)
+				cf.emit(&e)
 			}
 			cf.rollbackFirstStage(t, reps, placed)
 			return false
@@ -40,10 +40,10 @@ func (cf *CubeFit) tryFirstStage(t packing.Tenant, reps []packing.Replica) bool 
 		// distinctness and the robustness reserve.
 		if err := cf.p.Place(b.server, reps[j]); err != nil {
 			if placed > 0 && cf.rec != nil {
-				e := obs.AcquireEvent(obs.KindRollback)
+				e := obs.NewEvent(obs.KindRollback)
 				e.Tenant = int(t.ID)
 				e.Reason = "first-stage fallback: " + err.Error()
-				cf.emit(e)
+				cf.emit(&e)
 			}
 			cf.rollbackFirstStage(t, reps, placed)
 			return false
@@ -51,13 +51,13 @@ func (cf *CubeFit) tryFirstStage(t packing.Tenant, reps []packing.Replica) bool 
 		placed++
 		cf.refreshAfterPlacement(t.ID)
 		if cf.rec != nil {
-			e := obs.AcquireEvent(obs.KindStage1Place)
+			e := obs.NewEvent(obs.KindStage1Place)
 			e.Tenant = int(t.ID)
 			e.Replica = j
 			e.Server = b.server
 			e.Size = reps[j].Size
 			e.Level = cf.p.Server(b.server).Level()
-			cf.emit(e)
+			cf.emit(&e)
 		}
 	}
 	return true

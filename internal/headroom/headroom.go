@@ -13,14 +13,18 @@
 // the whole placement and a server whose slack goes negative is the
 // first overload-on-failure witness.
 //
-// The auditor never rescans the placement. It consumes the decision
-// event stream of internal/obs (attach it as a Recorder, alone or in an
-// obs.Tee): each placement-shaped event marks the touched servers — the
-// event's server plus the tenant's other hosts, the only servers whose
-// pairwise intersections can have changed — in a dirty set, and entries
-// are recomputed lazily, O(changed servers) per mutation, when a reading
-// method drains the queue. Exhaustive is the full-rescan reference
-// implementation the property tests and benchmarks compare against.
+// The auditor never rescans the placement. It learns which servers a
+// mutation touched from the decision event stream of internal/obs, in
+// one of two ways. Attached to an engine as its Recorder, it marks on
+// each placement-shaped event the event's server plus the tenant's other
+// hosts, the only servers whose pairwise intersections can have changed.
+// An owner that delivers a mutation's events after the engine call (the
+// api controller) calls MarkPlaced with them instead, and MarkTenant for
+// a tenant it is about to remove. Marked servers wait in a dirty set, and
+// their entries are recomputed lazily, O(changed servers) per mutation,
+// when a reading method drains the queue. Exhaustive is the full-rescan
+// reference implementation the property tests and benchmarks compare
+// against.
 //
 // The package is deliberately wall-clock free (time enters only through
 // event replay, see replay.go) and uses the shared tolerance constants of
@@ -174,6 +178,32 @@ func (a *Auditor) Record(e obs.Event) {
 		a.markLocked(e.Server)
 		a.mu.Unlock()
 	}
+}
+
+// MarkPlaced queues, for re-audit, the server of every place-shaped and
+// bin_open event of a finished mutation: the servers it placed a replica
+// on or opened. An owner that delivers a mutation's events after the
+// engine call uses it instead of Record. Unlike Record it reads no
+// tenant's hosts, so it is correct after the mutation provided the hosts
+// of every tenant the mutation removed were marked with MarkTenant before
+// the removal. A rolled-back replica's server is covered by the place
+// event that put it there.
+func (a *Auditor) MarkPlaced(events []obs.Event) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for i := range events {
+		switch events[i].Kind {
+		case obs.KindPlace, obs.KindStage1Place, obs.KindCubePlace, obs.KindBinOpen:
+			a.markLocked(events[i].Server)
+		}
+	}
+}
+
+// MarkTenant queues every current host of the tenant for re-audit. Call
+// it before removing the tenant: afterwards the placement no longer
+// names its hosts.
+func (a *Auditor) MarkTenant(id packing.TenantID) {
+	a.markTenant(int(id), obs.Unset)
 }
 
 // markTenant marks every current host of the tenant dirty, plus extra

@@ -11,10 +11,15 @@
 // and the final outcome — enough to reconstruct offline *why* each tenant
 // landed where it did (see Decisions).
 //
-// Events are timestamped through the clock seam (internal/clock) by the
-// Stamp wrapper, never by the engines themselves, so algorithm code stays
-// wall-clock free and the `wallclock` analyzer needs no new exemptions.
-// The package depends only on the standard library and internal/clock /
+// Events are numbered and timestamped by whoever stores them, never by
+// the engines, so algorithm code stays wall-clock free and the
+// `wallclock` analyzer needs no new exemptions: the Stamp wrapper stamps
+// each event through the clock seam (internal/clock) as it passes, and
+// Ring.RecordBatch numbers a batch on from the ring's total under one
+// time its caller read. The api controller buffers each mutation's
+// events and delivers them once, after the engine call; offline tools
+// (cubefit-sim) attach Stamp in front of a JSONL sink. The package
+// depends only on the standard library and internal/clock /
 // internal/trace.
 package obs
 
@@ -94,7 +99,8 @@ const Unset = -1
 
 // Event is one placement decision. Which fields are meaningful depends on
 // Kind (see the Kind constants); identity fields that do not apply hold
-// Unset. Seq and Time are assigned by the Stamp wrapper, not by engines.
+// Unset. Seq and Time are assigned where the event is stored (Stamp,
+// Ring.RecordBatch), not by engines.
 type Event struct {
 	Seq     uint64    `json:"seq"`
 	Time    time.Time `json:"time"`
@@ -155,7 +161,7 @@ func InferGamma(events []Event) int {
 // Recorder consumes decision events. Implementations must be safe for the
 // synchronization discipline of their caller: engines call Record
 // synchronously from Place/Remove, the API layer under its write lock.
-// The sinks in this package (Ring, JSONL, Tee, Stamp) are additionally
+// The recorders in this package (JSONL, Stamp, WAL) are additionally
 // safe for concurrent use on their own.
 type Recorder interface {
 	Record(Event)
@@ -168,33 +174,6 @@ var Nop Recorder = nopRecorder{}
 type nopRecorder struct{}
 
 func (nopRecorder) Record(Event) {}
-
-// Tee fans every event out to each non-nil recorder in order. With one
-// live recorder it is returned directly (no indirection); with none, Tee
-// returns nil so engines keep their cheap nil-check fast path.
-func Tee(recs ...Recorder) Recorder {
-	kept := make(teeRecorder, 0, len(recs))
-	for _, r := range recs {
-		if r != nil {
-			kept = append(kept, r)
-		}
-	}
-	switch len(kept) {
-	case 0:
-		return nil
-	case 1:
-		return kept[0]
-	}
-	return kept
-}
-
-type teeRecorder []Recorder
-
-func (t teeRecorder) Record(e Event) {
-	for _, r := range t {
-		r.Record(e)
-	}
-}
 
 // Stamp wraps next with sequence and timestamp assignment: every event
 // gets the next value of a shared atomic counter (starting at 1) and the

@@ -53,13 +53,23 @@ func TestInferGamma(t *testing.T) {
 	}
 }
 
+// probes returns n probe events for tenants first, first+1, ….
+func probes(first, n int) []Event {
+	out := make([]Event, n)
+	for i := range out {
+		out[i] = NewEvent(KindProbe)
+		out[i].Tenant = first + i
+	}
+	return out
+}
+
 func TestRingWraparound(t *testing.T) {
 	r := NewRing(4)
-	for i := 0; i < 10; i++ {
-		e := NewEvent(KindProbe)
-		e.Tenant = i
-		r.Record(e)
-	}
+	// Batches of 3, 1 and 6 events: the last alone overruns the ring.
+	at := []time.Time{time.Unix(10, 0), time.Unix(20, 0), time.Unix(30, 0)}
+	r.RecordBatch(probes(0, 3), at[0])
+	r.RecordBatch(probes(3, 1), at[1])
+	r.RecordBatch(probes(4, 6), at[2])
 	if r.Total() != 10 {
 		t.Errorf("Total = %d, want 10", r.Total())
 	}
@@ -67,10 +77,11 @@ func TestRingWraparound(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("len(Events) = %d, want 4", len(got))
 	}
-	// Oldest first: tenants 6, 7, 8, 9.
+	// Oldest first: tenants 6, 7, 8, 9, numbered on from the total.
 	for i, e := range got {
-		if e.Tenant != 6+i {
-			t.Errorf("Events()[%d].Tenant = %d, want %d", i, e.Tenant, 6+i)
+		if e.Tenant != 6+i || e.Seq != uint64(7+i) || !e.Time.Equal(at[2]) {
+			t.Errorf("Events()[%d] = tenant %d seq %d time %v, want tenant %d seq %d time %v",
+				i, e.Tenant, e.Seq, e.Time, 6+i, 7+i, at[2])
 		}
 	}
 	last := r.Last(2)
@@ -94,15 +105,14 @@ func TestRingSnapshotConsistent(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 1; ; i++ {
+		batch := probes(0, 3)
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			e := NewEvent(KindProbe)
-			e.Seq = uint64(i) // stand-in for the Stamp wrapper
-			r.Record(e)
+			r.RecordBatch(batch, time.Unix(1, 0))
 		}
 	}()
 	for i := 0; i < 5000; i++ {
@@ -126,14 +136,23 @@ func TestRingSnapshotConsistent(t *testing.T) {
 
 func TestRingBeforeWrap(t *testing.T) {
 	r := NewRing(8)
-	for i := 0; i < 3; i++ {
-		e := NewEvent(KindProbe)
-		e.Tenant = i
-		r.Record(e)
-	}
+	batch := probes(0, 3)
+	at := time.Unix(50, 0)
+	r.RecordBatch(batch, at)
 	got := r.Events()
 	if len(got) != 3 || got[0].Tenant != 0 || got[2].Tenant != 2 {
-		t.Errorf("Events() = %+v", got)
+		t.Fatalf("Events() = %+v", got)
+	}
+	for i, e := range got {
+		if e.Seq != uint64(i+1) || !e.Time.Equal(at) {
+			t.Errorf("Events()[%d]: seq %d time %v, want seq %d time %v", i, e.Seq, e.Time, i+1, at)
+		}
+	}
+	// The ring numbers and stamps its own copies, not the caller's batch.
+	for i, e := range batch {
+		if e.Seq != 0 || !e.Time.IsZero() {
+			t.Errorf("batch[%d] changed: seq %d time %v", i, e.Seq, e.Time)
+		}
 	}
 }
 
@@ -155,21 +174,6 @@ func TestStampAssignsSeqAndTime(t *testing.T) {
 	}
 	if got := c.events[1].Time.Sub(c.events[0].Time); got != 3*time.Second {
 		t.Errorf("time delta = %v, want 3s", got)
-	}
-}
-
-func TestTee(t *testing.T) {
-	var a, b collector
-	rec := Tee(&a, nil, &b)
-	rec.Record(NewEvent(KindAttempt))
-	if len(a.events) != 1 || len(b.events) != 1 {
-		t.Errorf("tee delivered %d/%d, want 1/1", len(a.events), len(b.events))
-	}
-	if Tee() != nil {
-		t.Error("Tee() with no sinks should be nil")
-	}
-	if Tee(nil, &a) != &a {
-		t.Error("Tee with one live sink should return it directly")
 	}
 }
 

@@ -1,10 +1,12 @@
 package obs
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
-// Ring is a bounded in-memory sink keeping the most recent events. It is
-// safe for concurrent use; Record takes one short mutex-guarded append,
-// cheap enough to sit on the admission path.
+// Ring is a bounded in-memory store keeping the most recent events. It is
+// safe for concurrent use; RecordBatch takes the lock once per batch.
 type Ring struct {
 	mu    sync.Mutex
 	buf   []Event
@@ -19,16 +21,27 @@ func NewRing(capacity int) *Ring {
 	return &Ring{buf: make([]Event, 0, capacity)}
 }
 
-// Record implements Recorder, overwriting the oldest event when full.
-func (r *Ring) Record(e Event) {
+// RecordBatch appends a batch of events in order, overwriting the oldest
+// when full. Each stored event gets the next sequence number of the
+// ring's running total (the first event ever recorded is 1) and the
+// batch's one time; events keeps its own values.
+func (r *Ring) RecordBatch(events []Event, at time.Time) {
 	r.mu.Lock()
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.total%uint64(cap(r.buf))] = e
+	defer r.mu.Unlock()
+	size := uint64(cap(r.buf))
+	for i := range events {
+		var slot *Event
+		if len(r.buf) < cap(r.buf) {
+			r.buf = append(r.buf, events[i])
+			slot = &r.buf[len(r.buf)-1]
+		} else {
+			slot = &r.buf[r.total%size]
+			*slot = events[i]
+		}
+		r.total++
+		slot.Seq = r.total
+		slot.Time = at
 	}
-	r.total++
-	r.mu.Unlock()
 }
 
 // Total returns the number of events ever recorded, including evicted ones.

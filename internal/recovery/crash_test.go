@@ -28,13 +28,18 @@ type crashLog struct {
 	fallbacks int
 }
 
-// eventCounter counts first-stage fallback rollbacks in the stream.
-type eventCounter struct{ fallbacks int }
+// eventCounter forwards every event to the log and counts the
+// first-stage fallback rollbacks on the way.
+type eventCounter struct {
+	log       obs.Recorder
+	fallbacks int
+}
 
 func (c *eventCounter) Record(e obs.Event) {
 	if e.Kind == obs.KindRollback && strings.HasPrefix(e.Reason, "first-stage fallback") {
 		c.fallbacks++
 	}
+	c.log.Record(e)
 }
 
 // writeCrashLog drives ops operations through a fresh engine into a log:
@@ -49,8 +54,8 @@ func writeCrashLog(t *testing.T, cfg core.Config, ops int, seed uint64) crashLog
 	}
 	var buf bytes.Buffer
 	wal := obs.NewWAL(&buf)
-	var counter eventCounter
-	cf.SetRecorder(obs.Tee(&counter, wal))
+	counter := eventCounter{log: wal}
+	cf.SetRecorder(&counter)
 	model := workload.DefaultLoadModel()
 	r := rng.New(seed)
 	log := crashLog{snaps: []trace.Snapshot{trace.Capture(cf.Placement())}}
