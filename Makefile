@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-build lint lint-json test test-short race bench bench-compare loadtest loadtest-compare loadtest-wal loadtest-trace loadtest-health healthcheck perf profile cover experiments figure5 figure6 table1 theorem2 fmt
+.PHONY: all build vet vet-build lint lint-json test test-short race bench bench-compare loadtest loadtest-compare loadtest-wal loadtest-trace loadtest-health healthcheck perf size profile cover experiments figure5 figure6 table1 theorem2 fmt
 
 all: build vet lint test
 
@@ -174,6 +174,14 @@ perf:
 	$(GO) test -run '^$$' -bench '^BenchmarkRecoverFleet$$/^tenants10000$$' -count $(PERF_COUNT) -benchmem ./internal/recovery/; \
 	} > perf.out
 	@cat perf.out
+
+# The size metric ROADMAP.md tracks (item 12): lines of the Go files git
+# tracks outside perfbench/ and testdata, non-test and test. A new file
+# counts once it is added to the index.
+GO_FILES = git ls-files '*.go' | grep -v '^perfbench/' | grep -v testdata
+size:
+	@echo "non-test Go lines: $$($(GO_FILES) | grep -v '_test.go$$' | xargs cat | wc -l)"
+	@echo "test Go lines:     $$($(GO_FILES) | grep '_test.go$$' | xargs cat | wc -l)"
 
 # CPU and allocation profiles of a representative consolidation run;
 # inspect with `go tool pprof cpu.prof` / `go tool pprof mem.prof`.

@@ -421,31 +421,17 @@ func benchHeadroomState(b *testing.B) (*core.CubeFit, *headroom.Auditor) {
 }
 
 // BenchmarkHeadroomIncremental measures one audit refresh after a
-// tenant-shaped mutation: mark the tenant's hosts dirty, recompute only
-// those entries, and read the minimum slack.
+// tenant-shaped mutation: mark the tenant's hosts dirty (MarkTenant, one
+// host lookup), recompute only those entries, and read the minimum slack.
 func BenchmarkHeadroomIncremental(b *testing.B) {
 	cf, a := benchHeadroomState(b)
-	p := cf.Placement()
-	hosts := make([][]int, 0, p.NumTenants())
-	for _, t := range p.Tenants() {
-		hs := make([]int, 0, p.Gamma())
-		for _, h := range p.TenantHosts(t.ID) {
-			if h >= 0 {
-				hs = append(hs, h)
-			}
-		}
-		if len(hs) > 0 {
-			hosts = append(hosts, hs)
-		}
-	}
-	if len(hosts) == 0 {
+	tenants := cf.Placement().Tenants()
+	if len(tenants) == 0 {
 		b.Fatal("no placed tenants")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := a.MarkDirty(hosts[i%len(hosts)]...); err != nil {
-			b.Fatal(err)
-		}
+		a.MarkTenant(tenants[i%len(tenants)].ID)
 		if _, ok := a.Min(); !ok {
 			b.Fatal("no audited servers")
 		}

@@ -80,11 +80,11 @@ func TestRealTreeHotpathAnnotationsPresent(t *testing.T) {
 		// The write-ahead log's record encoder, run for every operation
 		// under the controller lock.
 		"cubefit/internal/obs.appendOp",
-		// The pooled admission-span seam and its ring recorder.
+		// The pooled admission-span seam and the ring that keeps the spans.
 		"cubefit/internal/obs.AcquireSpan",
 		"cubefit/internal/obs.ReleaseSpan",
 		"cubefit/internal/obs.Span.Normalize",
-		"cubefit/internal/obs.SpanRing.RecordSpan",
+		"cubefit/internal/obs.Ring.Add",
 		// The pipeline tracer's per-admission instrumentation points.
 		"cubefit/internal/api.pipelineTracer.now",
 		"cubefit/internal/api.pipelineTracer.enqueued",

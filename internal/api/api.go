@@ -11,11 +11,15 @@
 // POST /v1/tenants:batch alike — enqueues a job resolved by one placer
 // goroutine that coalesces waiting jobs into a single write-lock
 // acquisition, preserving exact serial placement order while amortizing
-// lock traffic and snapshot invalidation across the batch. Exhaustive
-// analyses (drills, repack plans) run on a lock-free clone of the cached
-// snapshot so they never stall admissions. The placement snapshot served
-// by GET /v1/placement is cached between mutations so hot readers do not
-// rebuild it per request.
+// lock traffic and snapshot invalidation across the batch. The placement
+// snapshot served by GET /v1/placement is cached between mutations so hot
+// readers do not rebuild it per request, and exhaustive analyses (drills,
+// repack plans) run on a lock-free clone of it. Fleet-wide reads still
+// stall admissions, though: any mutation drops the cache, and the next
+// reader captures a fresh snapshot under the write lock (trace.Capture
+// took 188 ms at 250k tenants on a 2-vCPU host). A /v1/placement poller
+// every 50 ms raised the slowest admission there from 10.7 ms to 295 ms.
+// ROADMAP.md item 8 takes these reads off the controller lock.
 //
 // Durability: with a write-ahead log attached (WithWAL), the log records
 // every operation the decision event stream closes — one record per
@@ -34,14 +38,15 @@
 // method and status class) and latency histograms, and admissions are
 // counted by outcome (first_stage / regular / tiny / placed / rejected)
 // when the wrapped algorithm reports its admission path. GET /metrics
-// serves the Prometheus text exposition. When the algorithm supports a
-// decision flight recorder (internal/obs), the controller attaches one
-// automatically: a per-mutation buffer whose events it delivers once,
-// when the mutation completes (mutatedLocked). The last events stay
-// inspectable at GET /debug/events, each carrying the time of its
-// mutation; GET /explain/tenants/{id} reconstructs a tenant's decision
-// path with its failover attribution; and the same events feed the
-// per-kind event counter and the engine gauges on /metrics. Admission
+// serves the Prometheus text exposition. The algorithm must support the
+// decision flight recorder (internal/obs), as every engine in the
+// repository does; the controller attaches a per-mutation buffer whose
+// events it delivers once, when the mutation completes (mutatedLocked).
+// The last events stay inspectable at GET /debug/events, each carrying
+// the time of its mutation; GET /explain/tenants/{id} reconstructs a
+// tenant's decision path with its failover attribution; and the same
+// events feed the per-kind event counter and the engine gauges on
+// /metrics. Admission
 // latency comes from the pipeline spans' place stage. The servers each
 // mutation touched drive an incremental robustness headroom auditor
 // (internal/headroom): GET /debug/headroom reports every server's
@@ -99,7 +104,8 @@ type admissionObservable interface {
 }
 
 // recordable is implemented by algorithms that emit their decision trail
-// to a flight recorder (internal/obs).
+// to a flight recorder (internal/obs): every engine in the repository.
+// The controller requires it.
 type recordable interface {
 	SetRecorder(obs.Recorder)
 }
@@ -126,18 +132,15 @@ type Controller struct {
 	// the mutation in progress until mutatedLocked delivers them.
 	//cubefit:guarded-by mu
 	pending eventBuffer
-	// ring retains the most recent decision events (nil when the wrapped
-	// algorithm is not recordable). It has its own lock, so the event
-	// endpoints never contend with placement mutations.
-	ring *obs.Ring
+	// ring retains the most recent decision events. It has its own lock,
+	// so the event endpoints never contend with placement mutations.
+	ring *obs.Ring[obs.Event]
 	// auditor incrementally tracks worst-case failover headroom from the
-	// servers each mutation touched (nil when the algorithm is not
-	// recordable); it feeds the cubefit_headroom_* gauges and the
-	// /debug/headroom routes.
+	// servers each mutation touched; it feeds the cubefit_headroom_*
+	// gauges and the /debug/headroom routes.
 	auditor   *headroom.Auditor
 	headroomM *headroomMetrics
-	// engineM holds the event-fed engine families of /metrics (nil when
-	// the algorithm is not recordable).
+	// engineM holds the event-fed engine families of /metrics.
 	engineM *engineMetrics
 
 	// clk is the time source for pipeline span stamping and for the time
@@ -193,10 +196,10 @@ type Option func(*Controller)
 // (admission, rejected admission, departure), group-committed before
 // admissions are acked, and a log error disables the admission path
 // (fail closed) instead of dropping operations. The rest of the stream
-// stays in the event ring behind GET /debug/events. Requires a recordable
-// algorithm that also implements Remover, so a failed commit can be
-// rolled back. The controller takes ownership: Close performs the final
-// commit and closes the log.
+// stays in the event ring behind GET /debug/events. Requires an algorithm
+// that implements Remover, so a failed commit can be rolled back. The
+// controller takes ownership: Close performs the final commit and closes
+// the log.
 func WithWAL(w obs.CommitLog) Option {
 	return func(c *Controller) { c.wal = w }
 }
@@ -224,11 +227,16 @@ func WithClock(clk clock.Clock) Option {
 	return func(c *Controller) { c.clk = clk }
 }
 
-// NewController wraps an algorithm. The load model translates
-// client-count admissions into loads.
+// NewController wraps an algorithm, which must record its decision
+// events (SetRecorder). The load model translates client-count admissions
+// into loads.
 func NewController(alg packing.Algorithm, model workload.LoadModel, opts ...Option) (*Controller, error) {
 	if alg == nil {
 		return nil, errors.New("api: nil algorithm")
+	}
+	rec, ok := alg.(recordable)
+	if !ok {
+		return nil, fmt.Errorf("api: %s does not record decision events", alg.Name())
 	}
 	if err := model.Validate(); err != nil {
 		return nil, err
@@ -255,11 +263,7 @@ func NewController(alg packing.Algorithm, model workload.LoadModel, opts ...Opti
 			c.admissions.With(p.String()).Inc()
 		})
 	}
-	rec, canRecord := alg.(recordable)
 	if c.wal != nil {
-		if !canRecord {
-			return nil, fmt.Errorf("api: %s does not record decision events; cannot attach a WAL", alg.Name())
-		}
 		// A failed group commit is rolled back by removing the tenants the
 		// batch placed (placeJobs) or re-admitting a departed one
 		// (handleRemoveTenant); without Remove the 503s would lie about
@@ -268,26 +272,23 @@ func NewController(alg packing.Algorithm, model workload.LoadModel, opts ...Opti
 			return nil, fmt.Errorf("api: %s does not support tenant removal; cannot attach a WAL (commit-failure rollback requires it)", alg.Name())
 		}
 	}
-	if canRecord {
-		// Flight recorder: the engine buffers each mutation's events, and
-		// mutatedLocked delivers them once — to the write-ahead log when
-		// attached, to the incremental headroom auditor (/debug/headroom
-		// and the cubefit_headroom_* gauges), to the in-memory ring (for
-		// /debug/events and /explain) and to the engine families on
-		// /metrics.
-		c.ring = obs.NewRing(eventRingCapacity)
-		c.auditor = headroom.New(alg.Placement(), 0)
-		c.headroomM = newHeadroomMetrics(c.registry)
-		c.engineM = newEngineMetrics(c.registry)
-		// The recorder is engine state: attach it under the lock that
-		// guards every engine call.
-		c.mu.Lock()
-		rec.SetRecorder(&c.pending)
-		c.mu.Unlock()
-		// Audit the servers a recovered placement already holds, so the
-		// first read of the gauges sees them.
-		c.auditor.Drain()
-	}
+	// Flight recorder: the engine buffers each mutation's events, and
+	// mutatedLocked delivers them once — to the write-ahead log when
+	// attached, to the incremental headroom auditor (/debug/headroom and
+	// the cubefit_headroom_* gauges), to the in-memory ring (for
+	// /debug/events and /explain) and to the engine families on /metrics.
+	c.ring = obs.NewRing[obs.Event](eventRingCapacity)
+	c.auditor = headroom.New(alg.Placement(), 0)
+	c.headroomM = newHeadroomMetrics(c.registry)
+	c.engineM = newEngineMetrics(c.registry)
+	// The recorder is engine state: attach it under the lock that guards
+	// every engine call.
+	c.mu.Lock()
+	rec.SetRecorder(&c.pending)
+	c.mu.Unlock()
+	// Audit the servers a recovered placement already holds, so the first
+	// read of the gauges sees them.
+	c.auditor.Drain()
 	c.initHealth()
 	go c.runPlacer()
 	return c, nil
@@ -357,11 +358,6 @@ type eventsResponse struct {
 const defaultEventDump = 200
 
 func (c *Controller) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
-	if c.ring == nil {
-		writeJSON(w, http.StatusNotFound,
-			errorResponse{Error: fmt.Sprintf("%s does not record decision events", c.alg.Name())})
-		return
-	}
 	n, ok := queryNonNegInt(w, r, "n", defaultEventDump)
 	if !ok {
 		return
@@ -370,9 +366,6 @@ func (c *Controller) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
 	// separately can interleave with a concurrent admission and report a
 	// total that disagrees with the returned events.
 	total, events := c.ring.Snapshot(n)
-	if events == nil {
-		events = []obs.Event{}
-	}
 	writeJSON(w, http.StatusOK, eventsResponse{Total: total, Events: events})
 }
 
@@ -430,11 +423,9 @@ func (c *Controller) handleExplain(w http.ResponseWriter, r *http.Request) {
 			Replica: i, Server: sid, FailoverTo: others,
 		})
 	}
-	if c.ring != nil {
-		if d, ok := obs.DecisionFor(c.ring.Events(), int(id)); ok {
-			resp.Traced = true
-			resp.Decision = &d
-		}
+	if d, ok := obs.DecisionFor(c.ring.Last(-1), int(id)); ok {
+		resp.Traced = true
+		resp.Decision = &d
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -573,11 +564,9 @@ func (c *Controller) handleRemoveTenant(w http.ResponseWriter, r *http.Request) 
 	}
 	// Captured before removal so a failed WAL commit can re-admit it.
 	t, _ := c.alg.Placement().Tenant(id)
-	if c.auditor != nil {
-		// The depart event is delivered after Remove, when the placement
-		// no longer holds the tenant's hosts: mark them for re-audit now.
-		c.auditor.MarkTenant(id)
-	}
+	// The depart event is delivered after Remove, when the placement no
+	// longer holds the tenant's hosts: mark them for re-audit now.
+	c.auditor.MarkTenant(id)
 	err := rem.Remove(id)
 	if err == nil {
 		c.mutatedLocked()
@@ -633,9 +622,6 @@ func (c *Controller) handlePlacement(w http.ResponseWriter, _ *http.Request) {
 //   - the per-kind counts and the engine gauges to /metrics.
 func (c *Controller) mutatedLocked() {
 	c.snap = nil
-	if c.auditor == nil {
-		return
-	}
 	events := c.pending.events
 	if c.wal != nil {
 		for i := range events {
@@ -644,7 +630,7 @@ func (c *Controller) mutatedLocked() {
 	}
 	c.auditor.MarkPlaced(events)
 	c.auditor.Drain()
-	c.ring.RecordBatch(events, c.clk.Now())
+	obs.RecordBatch(c.ring, events, c.clk.Now())
 	c.engineM.observe(events)
 	c.pending.reset()
 }
@@ -671,7 +657,10 @@ func (c *Controller) snapshot() *trace.Snapshot {
 // clonePlacement rebuilds an independent placement from the snapshot so
 // exhaustive analyses (failure drills, repack planning) run without
 // holding the controller lock: a long computation on a large fleet must
-// not stall admissions behind Go's writer-preferring RWMutex.
+// not stall admissions behind Go's writer-preferring RWMutex. Taking the
+// snapshot can stall them, though: when a mutation has dropped the cached
+// one, snapshot captures a new one under the write lock, 188 ms at 250k
+// tenants (see ROADMAP.md item 8).
 func (c *Controller) clonePlacement() (*packing.Placement, error) {
 	return trace.Restore(*c.snapshot())
 }
@@ -772,9 +761,9 @@ func (c *Controller) handleDrill(w http.ResponseWriter, r *http.Request) {
 			errorResponse{Error: fmt.Sprintf("failures %d must be non-negative", req.Failures)})
 		return
 	}
-	// WorstCase is exhaustive; run it on a lock-free clone so a long
-	// drill never stalls admissions (the lock is held only to capture
-	// the snapshot, and usually not even that).
+	// WorstCase is exhaustive; run it on a lock-free clone so the drill
+	// itself holds no lock (capturing a stale snapshot still takes the
+	// write lock; see clonePlacement).
 	p, err := c.clonePlacement()
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})

@@ -415,6 +415,24 @@ func TestControllerConstructorErrors(t *testing.T) {
 	}
 }
 
+// placeOnly hides every method of the engine it wraps but those of
+// packing.Algorithm, SetRecorder among them.
+type placeOnly struct{ packing.Algorithm }
+
+// TestControllerRequiresRecorder: the controller's event ring, auditor and
+// engine metrics all feed on decision events, so an engine that cannot
+// record them is refused.
+func TestControllerRequiresRecorder(t *testing.T) {
+	a, err := rfi.New(rfi.Config{Gamma: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewController(placeOnly{a}, workload.DefaultLoadModel()); err == nil ||
+		!strings.Contains(err.Error(), "does not record decision events") {
+		t.Fatalf("NewController on an engine without SetRecorder = %v, want a refusal", err)
+	}
+}
+
 func TestConcurrentRequests(t *testing.T) {
 	srv := newServer(t)
 	done := make(chan error, 20)

@@ -96,7 +96,7 @@ func walController(t *testing.T, sw *syncSwitch) (*Controller, *workload.ClientS
 // replicas before rolling back, as the ring recorded them.
 func firstStageFallbacks(c *Controller) int {
 	n := 0
-	for _, e := range c.ring.Events() {
+	for _, e := range c.ring.Last(-1) {
 		if e.Kind == obs.KindRollback && strings.HasPrefix(e.Reason, "first-stage fallback") {
 			n++
 		}

@@ -54,9 +54,6 @@ func newHeadroomMetrics(r *metrics.Registry) *headroomMetrics {
 // whenever no mutation is in flight, and the health tick must keep
 // running while a writer holding c.mu waits on a hung fsync.
 func (c *Controller) refreshHeadroom() {
-	if c.auditor == nil {
-		return
-	}
 	m := c.headroomM
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -73,12 +70,8 @@ func (c *Controller) refreshHeadroom() {
 }
 
 // SetHeadroomRedLine reconfigures the red-line slack threshold (<= 0
-// selects headroom.DefaultRedLine). It is a no-op when the wrapped
-// algorithm does not record decision events.
+// selects headroom.DefaultRedLine).
 func (c *Controller) SetHeadroomRedLine(redline float64) {
-	if c.auditor == nil {
-		return
-	}
 	// The recount drains the auditor, which reads the placement.
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -92,19 +85,7 @@ type headroomResponse struct {
 	OverloadEventsTotal uint64 `json:"overloadEventsTotal"`
 }
 
-func (c *Controller) headroomUnavailable(w http.ResponseWriter) bool {
-	if c.auditor == nil {
-		writeJSON(w, http.StatusNotFound,
-			errorResponse{Error: fmt.Sprintf("%s does not record decision events", c.alg.Name())})
-		return true
-	}
-	return false
-}
-
 func (c *Controller) handleHeadroom(w http.ResponseWriter, r *http.Request) {
-	if c.headroomUnavailable(w) {
-		return
-	}
 	worst := 0
 	if raw := r.URL.Query().Get("worst"); raw != "" {
 		v, err := strconv.Atoi(raw)
@@ -134,9 +115,6 @@ type headroomServerResponse struct {
 }
 
 func (c *Controller) handleHeadroomServer(w http.ResponseWriter, r *http.Request) {
-	if c.headroomUnavailable(w) {
-		return
-	}
 	raw := r.PathValue("id")
 	id, err := strconv.Atoi(raw)
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 
 	"cubefit/internal/headroom"
 	"cubefit/internal/packing"
-	"cubefit/internal/workload"
 )
 
 // newHeadroomController returns a controller over the default CubeFit
@@ -187,47 +186,6 @@ func TestHeadroomServerEndpoint(t *testing.T) {
 	if code := doJSON(t, "GET", srv.URL+"/debug/headroom/servers/abc", nil, nil); code != http.StatusBadRequest {
 		t.Fatalf("bad server id: status %d", code)
 	}
-}
-
-// unrecordedAlg is a minimal algorithm without a flight recorder seam; the
-// headroom routes must answer 404 for it.
-type unrecordedAlg struct {
-	p *packing.Placement
-}
-
-func (a *unrecordedAlg) Name() string                  { return "unrecorded" }
-func (a *unrecordedAlg) Placement() *packing.Placement { return a.p }
-func (a *unrecordedAlg) Place(t packing.Tenant) error {
-	if err := a.p.AddTenant(t); err != nil {
-		return err
-	}
-	for _, rep := range a.p.Replicas(t) {
-		sid := a.p.OpenServer()
-		if err := a.p.Place(sid, rep); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func TestHeadroomUnavailable(t *testing.T) {
-	p, err := packing.NewPlacement(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewController(&unrecordedAlg{p: p}, workload.DefaultLoadModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-	for _, url := range []string{"/debug/headroom", "/debug/headroom/servers/0"} {
-		if code := doJSON(t, "GET", srv.URL+url, nil, nil); code != http.StatusNotFound {
-			t.Fatalf("%s on unrecorded algorithm: status %d", url, code)
-		}
-	}
-	// SetHeadroomRedLine must be a safe no-op.
-	c.SetHeadroomRedLine(0.5)
 }
 
 func TestHeadroomMetricsExported(t *testing.T) {

@@ -70,7 +70,7 @@ type pipelineTracer struct {
 	// base anchors the monotonic nanosecond scale every span timestamp is
 	// relative to.
 	base time.Time
-	ring *obs.SpanRing
+	ring *obs.Ring[obs.Span]
 	// sink, when attached, receives every completed span after the ring
 	// and histograms (WithSpanSink).
 	sink obs.SpanRecorder
@@ -87,12 +87,8 @@ type pipelineTracer struct {
 	enqueuedJobs atomic.Uint64
 	dequeuedJobs atomic.Uint64
 	commitSeq    atomic.Uint64
-
-	cmu sync.Mutex
-	//cubefit:guarded-by cmu
-	commitBuf [pipelineCommitWindow]commitRecord
-	//cubefit:guarded-by cmu
-	commitTotal uint64
+	// recent holds the last group commits behind GET /debug/pipeline.
+	recent *obs.Ring[commitRecord]
 
 	// Waiter FIFO mirroring the job queue: enqueue timestamps pushed by
 	// producers, popped by the placer, so the oldest waiter's age is
@@ -108,10 +104,11 @@ type pipelineTracer struct {
 
 func newPipelineTracer(r *metrics.Registry, clk clock.Clock, sink obs.SpanRecorder) *pipelineTracer {
 	t := &pipelineTracer{
-		clk:  clk,
-		base: clk.Now(),
-		ring: obs.NewSpanRing(pipelineSpanWindow),
-		sink: sink,
+		clk:    clk,
+		base:   clk.Now(),
+		ring:   obs.NewRing[obs.Span](pipelineSpanWindow),
+		recent: obs.NewRing[commitRecord](pipelineCommitWindow),
+		sink:   sink,
 		queueDepth: r.NewGauge("cubefit_pipeline_queue_depth",
 			"Admission jobs waiting on the pipeline queue."),
 		oldestWait: r.NewFGauge("cubefit_pipeline_oldest_wait_seconds",
@@ -190,7 +187,7 @@ func (t *pipelineTracer) finish(sp *obs.Span) {
 	t.stageHist[2].Observe(float64(sp.WalNs()) / 1e9)
 	t.stageHist[3].Observe(float64(sp.FsyncNs()) / 1e9)
 	t.stageHist[4].Observe(float64(sp.AckLatencyNs()) / 1e9)
-	t.ring.RecordSpan(*sp)
+	t.ring.Add(*sp)
 	if t.sink != nil {
 		t.sink.RecordSpan(*sp)
 	}
@@ -208,32 +205,7 @@ func (t *pipelineTracer) commitDone(id uint64, size int, fsyncNs, endNs int64, f
 	t.commits.Inc()
 	t.fsyncHist.Observe(float64(fsyncNs) / 1e9)
 	t.sizeHist.Observe(float64(size))
-	t.cmu.Lock()
-	t.commitBuf[t.commitTotal%pipelineCommitWindow] = commitRecord{
-		ID: id, Size: size, FsyncNs: fsyncNs, EndNs: endNs, Failed: failed,
-	}
-	t.commitTotal++
-	t.cmu.Unlock()
-}
-
-// recentCommits returns the all-time commit count and up to n of the most
-// recent commit records, oldest first.
-func (t *pipelineTracer) recentCommits(n int) (total uint64, recent []commitRecord) {
-	t.cmu.Lock()
-	defer t.cmu.Unlock()
-	stored := int(t.commitTotal)
-	if stored > pipelineCommitWindow {
-		stored = pipelineCommitWindow
-	}
-	if n > stored {
-		n = stored
-	}
-	recent = make([]commitRecord, 0, n)
-	start := int(t.commitTotal) - n
-	for i := start; i < int(t.commitTotal); i++ {
-		recent = append(recent, t.commitBuf[uint64(i)%pipelineCommitWindow])
-	}
-	return t.commitTotal, recent
+	t.recent.Add(commitRecord{ID: id, Size: size, FsyncNs: fsyncNs, EndNs: endNs, Failed: failed})
 }
 
 // pushWaiter appends an enqueue timestamp to the waiter FIFO and refreshes
@@ -373,10 +345,7 @@ func (c *Controller) handlePipeline(w http.ResponseWriter, r *http.Request) {
 	}
 	t := c.tracer
 	spans := t.ring.Last(window)
-	total, recent := t.recentCommits(nCommits)
-	if recent == nil {
-		recent = []commitRecord{}
-	}
+	total, recent := t.recent.Snapshot(nCommits)
 	writeJSON(w, http.StatusOK, pipelineResponse{
 		Tracing: true,
 		Queue: pipelineQueueStatus{

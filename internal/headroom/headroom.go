@@ -127,9 +127,9 @@ func New(p *packing.Placement, redline float64) *Auditor {
 		redline = DefaultRedLine
 	}
 	a := &Auditor{p: p, redline: redline, minServer: -1}
-	a.mu.Lock()
-	a.syncLocked()
-	a.mu.Unlock()
+	for sid := 0; sid < p.NumServers(); sid++ {
+		a.markLocked(sid)
+	}
 	return a
 }
 
@@ -220,34 +220,6 @@ func (a *Auditor) markTenant(tenant, extra int) {
 		}
 	}
 	a.mu.Unlock()
-}
-
-// MarkDirty queues servers for re-audit. Engines without an event stream
-// can use it as a direct hook; out-of-range IDs are rejected.
-func (a *Auditor) MarkDirty(servers ...int) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, sid := range servers {
-		if sid < 0 || sid >= a.p.NumServers() {
-			return fmt.Errorf("headroom: no server %d", sid)
-		}
-		a.markLocked(sid)
-	}
-	return nil
-}
-
-// Sync queues every opened server for re-audit — the full-rescan escape
-// hatch for placements mutated outside the event seam.
-func (a *Auditor) Sync() {
-	a.mu.Lock()
-	a.syncLocked()
-	a.mu.Unlock()
-}
-
-func (a *Auditor) syncLocked() {
-	for sid := 0; sid < a.p.NumServers(); sid++ {
-		a.markLocked(sid)
-	}
 }
 
 // markLocked queues one server, growing the entry table as servers open.

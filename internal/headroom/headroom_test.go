@@ -198,8 +198,9 @@ func overloadedPlacement(t *testing.T) *packing.Placement {
 }
 
 // TestOverloadDetection audits a placement mutated outside the event seam
-// (via Sync) through an overload and back: the overloaded gauge follows the
-// state, the overload-event counter is monotone.
+// through an overload and back, marking the departing tenant's hosts
+// before its removal as the controller does: the overloaded gauge follows
+// the state, the overload-event counter is monotone.
 func TestOverloadDetection(t *testing.T) {
 	p := overloadedPlacement(t)
 	a := headroom.New(p, 0)
@@ -222,10 +223,10 @@ func TestOverloadDetection(t *testing.T) {
 	}
 
 	// Shedding one tenant restores the invariant; the event counter stays.
+	a.MarkTenant(2)
 	if err := p.RemoveTenant(2); err != nil {
 		t.Fatal(err)
 	}
-	a.Sync()
 	rep = a.Report()
 	if rep.Overloaded != 0 {
 		t.Fatalf("after removal overloaded = %d, want 0", rep.Overloaded)
@@ -284,9 +285,6 @@ func TestEmptyAuditor(t *testing.T) {
 	rep := a.Report()
 	if rep.MinServer != -1 || rep.MinSlack != 1 || rep.P50Slack != 1 || len(rep.Servers) != 0 {
 		t.Fatalf("empty report = %+v", rep)
-	}
-	if err := a.MarkDirty(0); err == nil {
-		t.Fatal("MarkDirty(0) with no servers should fail")
 	}
 }
 

@@ -15,8 +15,8 @@
 // the engines, so algorithm code stays wall-clock free and the
 // `wallclock` analyzer needs no new exemptions: the Stamp wrapper stamps
 // each event through the clock seam (internal/clock) as it passes, and
-// Ring.RecordBatch numbers a batch on from the ring's total under one
-// time its caller read. The api controller buffers each mutation's
+// RecordBatch numbers a batch on from a ring's total under one time its
+// caller read. The api controller buffers each mutation's
 // events and delivers them once, after the engine call; offline tools
 // (cubefit-sim) attach Stamp in front of a JSONL sink. The package
 // depends only on the standard library and internal/clock /
@@ -100,7 +100,7 @@ const Unset = -1
 // Event is one placement decision. Which fields are meaningful depends on
 // Kind (see the Kind constants); identity fields that do not apply hold
 // Unset. Seq and Time are assigned where the event is stored (Stamp,
-// Ring.RecordBatch), not by engines.
+// RecordBatch), not by engines.
 type Event struct {
 	Seq     uint64    `json:"seq"`
 	Time    time.Time `json:"time"`

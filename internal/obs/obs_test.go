@@ -64,23 +64,23 @@ func probes(first, n int) []Event {
 }
 
 func TestRingWraparound(t *testing.T) {
-	r := NewRing(4)
+	r := NewRing[Event](4)
 	// Batches of 3, 1 and 6 events: the last alone overruns the ring.
 	at := []time.Time{time.Unix(10, 0), time.Unix(20, 0), time.Unix(30, 0)}
-	r.RecordBatch(probes(0, 3), at[0])
-	r.RecordBatch(probes(3, 1), at[1])
-	r.RecordBatch(probes(4, 6), at[2])
+	RecordBatch(r, probes(0, 3), at[0])
+	RecordBatch(r, probes(3, 1), at[1])
+	RecordBatch(r, probes(4, 6), at[2])
 	if r.Total() != 10 {
 		t.Errorf("Total = %d, want 10", r.Total())
 	}
-	got := r.Events()
+	got := r.Last(-1)
 	if len(got) != 4 {
-		t.Fatalf("len(Events) = %d, want 4", len(got))
+		t.Fatalf("len(Last(-1)) = %d, want 4", len(got))
 	}
 	// Oldest first: tenants 6, 7, 8, 9, numbered on from the total.
 	for i, e := range got {
 		if e.Tenant != 6+i || e.Seq != uint64(7+i) || !e.Time.Equal(at[2]) {
-			t.Errorf("Events()[%d] = tenant %d seq %d time %v, want tenant %d seq %d time %v",
+			t.Errorf("Last(-1)[%d] = tenant %d seq %d time %v, want tenant %d seq %d time %v",
 				i, e.Tenant, e.Seq, e.Time, 6+i, 7+i, at[2])
 		}
 	}
@@ -100,7 +100,7 @@ func TestRingWraparound(t *testing.T) {
 // returned total must always match the newest returned event, which two
 // separate Total/Last lock acquisitions cannot guarantee.
 func TestRingSnapshotConsistent(t *testing.T) {
-	r := NewRing(16)
+	r := NewRing[Event](16)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -112,7 +112,7 @@ func TestRingSnapshotConsistent(t *testing.T) {
 				return
 			default:
 			}
-			r.RecordBatch(batch, time.Unix(1, 0))
+			RecordBatch(r, batch, time.Unix(1, 0))
 		}
 	}()
 	for i := 0; i < 5000; i++ {
@@ -135,17 +135,17 @@ func TestRingSnapshotConsistent(t *testing.T) {
 }
 
 func TestRingBeforeWrap(t *testing.T) {
-	r := NewRing(8)
+	r := NewRing[Event](8)
 	batch := probes(0, 3)
 	at := time.Unix(50, 0)
-	r.RecordBatch(batch, at)
-	got := r.Events()
+	RecordBatch(r, batch, at)
+	got := r.Last(-1)
 	if len(got) != 3 || got[0].Tenant != 0 || got[2].Tenant != 2 {
-		t.Fatalf("Events() = %+v", got)
+		t.Fatalf("Last(-1) = %+v", got)
 	}
 	for i, e := range got {
 		if e.Seq != uint64(i+1) || !e.Time.Equal(at) {
-			t.Errorf("Events()[%d]: seq %d time %v, want seq %d time %v", i, e.Seq, e.Time, i+1, at)
+			t.Errorf("Last(-1)[%d]: seq %d time %v, want seq %d time %v", i, e.Seq, e.Time, i+1, at)
 		}
 	}
 	// The ring numbers and stamps its own copies, not the caller's batch.

@@ -5,87 +5,88 @@ import (
 	"time"
 )
 
-// Ring is a bounded in-memory store keeping the most recent events. It is
-// safe for concurrent use; RecordBatch takes the lock once per batch.
-type Ring struct {
-	mu    sync.Mutex
-	buf   []Event
+// Ring is a bounded in-memory store keeping the most recent values and
+// counting every value it was ever given. It is safe for concurrent use
+// and allocation-free once warm.
+type Ring[T any] struct {
+	mu sync.Mutex
+	//cubefit:guarded-by mu
+	buf []T
+	//cubefit:guarded-by mu
 	total uint64
 }
 
-// NewRing returns a ring buffer holding up to capacity events (at least 1).
-func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]Event, 0, capacity)}
+// NewRing returns a ring holding up to capacity values (at least 1).
+func NewRing[T any](capacity int) *Ring[T] {
+	return &Ring[T]{buf: make([]T, 0, max(capacity, 1))}
 }
 
-// RecordBatch appends a batch of events in order, overwriting the oldest
-// when full. Each stored event gets the next sequence number of the
-// ring's running total (the first event ever recorded is 1) and the
-// batch's one time; events keeps its own values.
-func (r *Ring) RecordBatch(events []Event, at time.Time) {
+// Add appends v, overwriting the oldest value when full.
+//
+//cubefit:hotpath
+func (r *Ring[T]) Add(v T) {
+	r.mu.Lock()
+	*r.nextLocked() = v
+	r.mu.Unlock()
+}
+
+// nextLocked counts one more value and returns the slot it goes into:
+// the next free one, or the oldest once the ring is full.
+func (r *Ring[T]) nextLocked() *T {
+	i := r.total % uint64(cap(r.buf))
+	if len(r.buf) < cap(r.buf) {
+		r.buf = r.buf[:i+1]
+	}
+	r.total++
+	return &r.buf[i]
+}
+
+// RecordBatch appends a batch of events to r in order, under one lock.
+// Each stored event gets the next sequence number of the ring's running
+// total (the first event ever recorded is 1) and the batch's one time;
+// events keeps its own values.
+func RecordBatch(r *Ring[Event], events []Event, at time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	size := uint64(cap(r.buf))
 	for i := range events {
-		var slot *Event
-		if len(r.buf) < cap(r.buf) {
-			r.buf = append(r.buf, events[i])
-			slot = &r.buf[len(r.buf)-1]
-		} else {
-			slot = &r.buf[r.total%size]
-			*slot = events[i]
-		}
-		r.total++
-		slot.Seq = r.total
-		slot.Time = at
+		slot := r.nextLocked()
+		*slot = events[i]
+		slot.Seq, slot.Time = r.total, at
 	}
 }
 
-// Total returns the number of events ever recorded, including evicted ones.
-func (r *Ring) Total() uint64 {
+// Total returns the number of values ever added, including evicted ones.
+func (r *Ring[T]) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
 }
 
-// Events returns the retained events, oldest first.
-func (r *Ring) Events() []Event {
-	return r.Last(-1)
+// Last returns up to n of the most recent values, oldest first (all
+// retained values when n is negative or exceeds the retention).
+func (r *Ring[T]) Last(n int) []T {
+	_, out := r.Snapshot(n)
+	return out
 }
 
-// Last returns up to n of the most recent events, oldest first (all
-// retained events when n is negative or exceeds the retention).
-func (r *Ring) Last(n int) []Event {
+// Snapshot returns the all-time total together with up to n of the most
+// recent values, read under one lock acquisition so the pair is mutually
+// consistent even while writers are adding.
+func (r *Ring[T]) Snapshot(n int) (total uint64, last []T) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.lastLocked(n)
-}
-
-// Snapshot returns the all-time event total together with up to n of the
-// most recent events, read under one lock acquisition so the pair is
-// mutually consistent even while writers are recording.
-func (r *Ring) Snapshot(n int) (total uint64, events []Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total, r.lastLocked(n)
-}
-
-func (r *Ring) lastLocked(n int) []Event {
 	stored := len(r.buf)
 	if n < 0 || n > stored {
 		n = stored
 	}
-	out := make([]Event, 0, n)
-	// The oldest retained event sits at total%cap once the buffer wrapped.
+	last = make([]T, 0, n)
+	// The oldest retained value sits at total%cap once the buffer wrapped.
 	start := 0
 	if stored == cap(r.buf) {
 		start = int(r.total % uint64(cap(r.buf)))
 	}
 	for i := stored - n; i < stored; i++ {
-		out = append(out, r.buf[(start+i)%stored])
+		last = append(last, r.buf[(start+i)%stored])
 	}
-	return out
+	return r.total, last
 }

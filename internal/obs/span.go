@@ -135,64 +135,3 @@ func AcquireSpan() *Span {
 func ReleaseSpan(s *Span) {
 	spanPool.Put(s)
 }
-
-// SpanRing is a bounded in-memory span sink keeping the most recent spans,
-// the live sample window behind GET /debug/pipeline's stage percentiles.
-// It is safe for concurrent use and allocation-free once warm.
-type SpanRing struct {
-	mu sync.Mutex
-	//cubefit:guarded-by mu
-	buf []Span
-	//cubefit:guarded-by mu
-	total uint64
-}
-
-// NewSpanRing returns a ring holding up to capacity spans (at least 1).
-func NewSpanRing(capacity int) *SpanRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &SpanRing{buf: make([]Span, 0, capacity)}
-}
-
-// RecordSpan implements SpanRecorder, overwriting the oldest span when
-// full.
-//
-//cubefit:hotpath
-func (r *SpanRing) RecordSpan(s Span) {
-	r.mu.Lock()
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, s)
-	} else {
-		r.buf[r.total%uint64(cap(r.buf))] = s
-	}
-	r.total++
-	r.mu.Unlock()
-}
-
-// Total returns the number of spans ever recorded, including evicted ones.
-func (r *SpanRing) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Last returns up to n of the most recent spans, oldest first (all
-// retained spans when n is negative or exceeds the retention).
-func (r *SpanRing) Last(n int) []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	stored := len(r.buf)
-	if n < 0 || n > stored {
-		n = stored
-	}
-	out := make([]Span, 0, n)
-	start := 0
-	if stored == cap(r.buf) {
-		start = int(r.total % uint64(cap(r.buf)))
-	}
-	for i := stored - n; i < stored; i++ {
-		out = append(out, r.buf[(start+i)%stored])
-	}
-	return out
-}

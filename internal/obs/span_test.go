@@ -85,11 +85,11 @@ func TestSpanPoolRoundTrip(t *testing.T) {
 }
 
 func TestSpanLifecycleZeroAllocs(t *testing.T) {
-	ring := NewSpanRing(8)
+	ring := NewRing[Span](8)
 	// Warm the pool and the ring.
 	for i := 0; i < 16; i++ {
 		sp := AcquireSpan()
-		ring.RecordSpan(*sp)
+		ring.Add(*sp)
 		ReleaseSpan(sp)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -101,7 +101,7 @@ func TestSpanLifecycleZeroAllocs(t *testing.T) {
 		sp.PlaceEndNs = 30
 		sp.AckNs = 40
 		sp.Normalize()
-		ring.RecordSpan(*sp)
+		ring.Add(*sp)
 		ReleaseSpan(sp)
 	})
 	if allocs != 0 {
@@ -110,9 +110,9 @@ func TestSpanLifecycleZeroAllocs(t *testing.T) {
 }
 
 func TestSpanRingWrapAround(t *testing.T) {
-	r := NewSpanRing(3)
+	r := NewRing[Span](3)
 	for i := 1; i <= 5; i++ {
-		r.RecordSpan(Span{Tenant: i})
+		r.Add(Span{Tenant: i})
 	}
 	if r.Total() != 5 {
 		t.Fatalf("Total = %d, want 5", r.Total())

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"math"
 	"os"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -64,25 +62,23 @@ type CommitLog interface {
 var _ CommitLog = (*WAL)(nil)
 
 // WAL is the write-ahead operation log. It consumes the decision event
-// stream as the last Recorder of the controller's chain, but persists only
-// the input sequence: CubeFit is deterministic, so its placement follows
-// from the arrivals and departures alone. After the WALHeader line it
-// writes one newline-terminated JSON record per operation:
+// stream, but persists only the input sequence: CubeFit is deterministic,
+// so its placement follows from the arrivals and departures alone. After
+// the WALHeader line it writes one newline-terminated JSON record per
+// operation:
 //
 //	{"op":"admit","tenant":7,"load":0.3,"clients":8,"hosts":[12,40]}
 //	{"op":"reject","tenant":8,"load":1.5,"clients":0}
 //	{"op":"depart","tenant":7}
 //
-// An admission is assembled from its attempt (tenant, load, clients), its
-// place events (the host of each replica index; a rollback clears them)
-// and is written when its admit or reject arrives; a depart event is
-// written as it comes. Every other event kind is dropped. The hosts let
-// recovery check that the replayed engine places each admission where
-// the original did.
+// Record folds the stream through an OpFold and writes each operation as
+// it closes; every event kind outside the fold's grammar is dropped. The
+// hosts let recovery check that the replayed engine places each admission
+// where the original did.
 //
 // Error handling is sticky and fail-closed: after the first write, flush,
-// or sync error — or an event that does not fit the open admission, such
-// as an admit for another tenant — every subsequent Record is dropped and
+// or sync error — or an event the fold refuses, such as an admit for
+// another tenant — every subsequent Record is dropped and
 // every Sync returns the original error, so a full disk surfaces as
 // failed admissions rather than a log silently missing its tail or
 // holding a wrong operation. Err exposes the state for callers that want
@@ -95,10 +91,10 @@ type WAL struct {
 	bw   *bufio.Writer
 	sync Syncer // nil when the writer has no Sync method; set at construction only
 	cl   io.Closer
-	// op is the admission being assembled; buf is the reused encode
-	// buffer a closing event's record is appended into.
+	// op folds the event stream into operations; buf is the reused encode
+	// buffer a closed operation's record is appended into.
 	//cubefit:guarded-by mu
-	op openOp
+	op OpFold
 	//cubefit:guarded-by mu
 	buf []byte
 	// n counts records accepted into the buffer; synced counts records
@@ -119,17 +115,6 @@ type WAL struct {
 	// the underlying file) just because err already holds something.
 	//cubefit:guarded-by mu
 	closed bool
-}
-
-// openOp is an admission between its attempt and its admit or reject.
-type openOp struct {
-	open    bool
-	tenant  int
-	clients int
-	load    float64
-	// hostBuf holds the server of each placed replica by replica index,
-	// Unset where none is placed.
-	hostBuf []int
 }
 
 // NewWAL returns a write-ahead log over w. Unless w is a file that
@@ -191,9 +176,7 @@ func OpenWAL(path string) (*WAL, error) {
 // into the staging buffer. The record only becomes durable once a
 // subsequent Sync completes.
 func (w *WAL) Record(e Event) {
-	switch e.Kind {
-	case KindAttempt, KindPlace, KindStage1Place, KindCubePlace, KindRollback, KindAdmit, KindReject, KindDepart:
-	default:
+	if !inOpGrammar(e.Kind) {
 		return
 	}
 	w.mu.Lock()
@@ -201,78 +184,49 @@ func (w *WAL) Record(e Event) {
 	if w.err != nil {
 		return
 	}
-	if err := w.foldLocked(e); err != nil {
-		w.err = err
-		w.failed.Store(true)
+	op, err := w.op.next(&e)
+	if err != nil {
+		w.failLocked(fmt.Errorf("obs: wal: %w", err))
+		return
 	}
-}
-
-// foldLocked folds one event into the open admission and stages the
-// record of the operation it closes, refusing an event that does not fit,
-// an admission whose replicas are not all placed and a load that JSON
-// cannot carry.
-func (w *WAL) foldLocked(e Event) error {
-	op := &w.op
-	// Attempts and departures arrive between operations; every other kind
-	// belongs to the open admission of its tenant.
-	between := e.Kind == KindAttempt || e.Kind == KindDepart
-	if between == op.open || (op.open && e.Tenant != op.tenant) {
-		return fmt.Errorf("obs: wal: %s event for tenant %d does not fit the open admission (open %v, tenant %d)",
-			e.Kind, e.Tenant, op.open, op.tenant)
+	if op == nil {
+		return
 	}
-	switch e.Kind {
-	case KindAttempt:
-		*op = openOp{open: true, tenant: e.Tenant, load: e.Size, clients: e.Clients, hostBuf: op.hostBuf[:0]}
-		return nil
-	case KindPlace, KindStage1Place, KindCubePlace:
-		if e.Replica < 0 {
-			return fmt.Errorf("obs: wal: %s event for tenant %d names no replica", e.Kind, e.Tenant)
-		}
-		for len(op.hostBuf) <= e.Replica {
-			op.hostBuf = append(op.hostBuf, Unset)
-		}
-		op.hostBuf[e.Replica] = e.Server
-		return nil
-	case KindRollback:
-		op.hostBuf = op.hostBuf[:0]
-		return nil
-	}
-	op.open = false
-	if e.Kind == KindAdmit && (len(op.hostBuf) == 0 || slices.Contains(op.hostBuf, Unset)) {
-		return fmt.Errorf("obs: wal: admit of tenant %d with replicas unplaced (hosts %v)", e.Tenant, op.hostBuf)
-	}
-	if e.Kind != KindDepart && (math.IsNaN(op.load) || math.IsInf(op.load, 0)) {
-		return fmt.Errorf("obs: wal: tenant %d has non-finite load %v", e.Tenant, op.load)
-	}
-	w.buf = appendOp(w.buf[:0], e.Kind, e.Tenant, op.load, op.clients, op.hostBuf)
+	w.buf = appendOp(w.buf[:0], op)
 	if _, err := w.bw.Write(w.buf); err != nil {
-		return fmt.Errorf("obs: wal write: %w", err)
+		w.failLocked(fmt.Errorf("obs: wal write: %w", err))
+		return
 	}
 	w.n++
-	return nil
+}
+
+// failLocked sets the sticky error.
+func (w *WAL) failLocked(err error) {
+	w.err = err
+	w.failed.Store(true)
 }
 
 // appendOp appends one operation's record, newline included, to buf.
 // Reject and depart records leave out the fields they do not carry.
 //
 //cubefit:hotpath
-func appendOp(buf []byte, kind Kind, tenant int, load float64, clients int, hosts []int) []byte {
+func appendOp(buf []byte, op *Op) []byte {
 	buf = append(buf, `{"op":"`...)
-	buf = append(buf, kind...)
+	buf = append(buf, op.Kind...)
 	buf = append(buf, `","tenant":`...)
-	buf = strconv.AppendInt(buf, int64(tenant), 10)
-	if kind == KindDepart {
+	buf = strconv.AppendInt(buf, int64(op.Tenant), 10)
+	if op.Kind == KindDepart {
 		return append(buf, "}\n"...)
 	}
 	buf = append(buf, `,"load":`...)
-	buf = strconv.AppendFloat(buf, load, 'g', -1, 64)
+	buf = strconv.AppendFloat(buf, op.Load, 'g', -1, 64)
 	buf = append(buf, `,"clients":`...)
-	buf = strconv.AppendInt(buf, int64(clients), 10)
-	if kind == KindReject {
+	buf = strconv.AppendInt(buf, int64(op.Clients), 10)
+	if op.Kind == KindReject {
 		return append(buf, "}\n"...)
 	}
 	buf = append(buf, `,"hosts":[`...)
-	for i, h := range hosts {
+	for i, h := range op.Hosts {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
@@ -296,14 +250,12 @@ func (w *WAL) syncLocked() error {
 		return w.err
 	}
 	if err := w.bw.Flush(); err != nil {
-		w.err = fmt.Errorf("obs: wal flush: %w", err)
-		w.failed.Store(true)
+		w.failLocked(fmt.Errorf("obs: wal flush: %w", err))
 		return w.err
 	}
 	if w.sync != nil {
 		if err := w.sync.Sync(); err != nil {
-			w.err = fmt.Errorf("obs: wal sync: %w", err)
-			w.failed.Store(true)
+			w.failLocked(fmt.Errorf("obs: wal sync: %w", err))
 			return w.err
 		}
 	}
@@ -360,20 +312,25 @@ func ReadWAL(r io.Reader) (events []Event, torn bool, err error) {
 // Recovery uses the offsets to cut a torn tail at a record boundary (see
 // TruncateWAL).
 //
-// Each record decodes into the events recovery replays: an admit into an
-// attempt (Tenant, Size, Clients), one KindPlace event per replica
-// (Replica, Server) and the admit; a reject into the attempt and the
-// reject; a depart into the depart alone. The events of one record share
-// its end offset. The decision stream itself — probes, cube slots, bin
-// lifecycle, stages — is not in the log; it stays available from the
-// controller's event ring (GET /debug/events) and `cubefit-sim -events`.
+// Each record decodes into an Op, which expands into the events recovery
+// folds back: an admit into an attempt (Tenant, Size, Clients), one
+// KindPlace event per replica (Replica, Server) and the admit; a reject
+// into the attempt and the reject; a depart into the depart alone. The
+// events of one record share its end offset. A record holding an
+// operation the writer refuses (see OpFold) is malformed. The decision
+// stream itself — probes, cube slots, bin lifecycle, stages — is not in
+// the log; it stays available from the controller's event ring (GET
+// /debug/events) and `cubefit-sim -events`.
 //
 // The newline is part of the record: a final line without one — even a
 // tail that happens to parse as a complete record, or a header missing
 // its newline — was torn mid-write and is dropped, never trusted.
 func ReadWALOffsets(r io.Reader) (events []Event, ends []int64, torn bool, err error) {
 	br := bufio.NewReaderSize(r, maxWALLine)
-	var off int64
+	var (
+		off int64
+		op  Op
+	)
 	for line := 1; ; line++ {
 		raw, rerr := br.ReadSlice('\n')
 		switch {
@@ -400,16 +357,16 @@ func ReadWALOffsets(r io.Reader) (events []Event, ends []int64, torn bool, err e
 			events, ends = presize(r)
 			continue
 		}
-		n := len(events)
-		var ok bool
-		if events, ok = decodeOp(events, raw[:len(raw)-1]); !ok {
+		if !decodeOp(raw[:len(raw)-1], &op) || op.check() != nil {
 			// A malformed final line is a torn tail; anywhere earlier it
 			// is corruption.
 			if _, perr := br.Peek(1); perr == io.EOF {
-				return events[:n], ends, true, nil
+				return events, ends, true, nil
 			}
 			return nil, nil, false, fmt.Errorf("obs: wal record %d (line %d) is malformed", line-1, line)
 		}
+		n := len(events)
+		events = op.appendEvents(events)
 		for range events[n:] {
 			ends = append(ends, off)
 		}
@@ -432,38 +389,31 @@ func presize(r io.Reader) ([]Event, []int64) {
 	return make([]Event, 0, n), make([]int64, 0, n)
 }
 
-// decodeOp appends the events of one record, given without its newline,
-// to events. It accepts exactly the form appendOp writes; on false the
-// events past the original length are garbage.
-func decodeOp(events []Event, rec []byte) ([]Event, bool) {
+// decodeOp parses one record, given without its newline, into op,
+// reusing its Hosts. It accepts exactly the form appendOp writes.
+func decodeOp(rec []byte, op *Op) bool {
 	s := opScanner{b: rec, ok: true}
-	var kind Kind
 	switch {
 	case s.skip(`{"op":"admit","tenant":`):
-		kind = KindAdmit
+		op.Kind = KindAdmit
 	case s.skip(`{"op":"reject","tenant":`):
-		kind = KindReject
+		op.Kind = KindReject
 	case s.skip(`{"op":"depart","tenant":`):
-		kind = KindDepart
+		op.Kind = KindDepart
 	default:
-		return events, false
+		return false
 	}
-	tenant := s.int()
-	if kind != KindDepart {
-		at := NewEvent(KindAttempt)
-		at.Tenant = tenant
+	op.Tenant, op.Load, op.Clients, op.Hosts = s.int(), 0, 0, op.Hosts[:0]
+	if op.Kind != KindDepart {
 		s.expect(`,"load":`)
-		at.Size = s.float()
+		op.Load = s.float()
 		s.expect(`,"clients":`)
-		at.Clients = s.int()
-		events = append(events, at)
+		op.Clients = s.int()
 	}
-	if kind == KindAdmit {
+	if op.Kind == KindAdmit {
 		s.expect(`,"hosts":[`)
-		for replica := 0; s.ok; replica++ {
-			pl := NewEvent(KindPlace)
-			pl.Tenant, pl.Replica, pl.Server = tenant, replica, s.int()
-			events = append(events, pl)
+		for s.ok {
+			op.Hosts = append(op.Hosts, s.int())
 			if !s.skip(",") {
 				break
 			}
@@ -471,12 +421,7 @@ func decodeOp(events []Event, rec []byte) ([]Event, bool) {
 		s.expect("]")
 	}
 	s.expect("}")
-	if !s.ok || len(s.b) != 0 {
-		return events, false
-	}
-	closing := NewEvent(kind)
-	closing.Tenant = tenant
-	return append(events, closing), true
+	return s.ok && len(s.b) == 0
 }
 
 // opScanner walks one record; ok turns false at the first byte that does

@@ -144,55 +144,6 @@ func TestWALRecordFormat(t *testing.T) {
 	}
 }
 
-// TestWALFailsClosedOnMismatch: an event that does not fit the open
-// admission sets the sticky error instead of writing a wrong operation.
-func TestWALFailsClosedOnMismatch(t *testing.T) {
-	attempt := func(tenant int) Event {
-		e := NewEvent(KindAttempt)
-		e.Tenant, e.Size = tenant, 0.2
-		return e
-	}
-	closing := func(kind Kind, tenant int) Event {
-		e := NewEvent(kind)
-		e.Tenant = tenant
-		return e
-	}
-	place := func(tenant, replica, server int) Event {
-		e := NewEvent(KindStage1Place)
-		e.Tenant, e.Replica, e.Server = tenant, replica, server
-		return e
-	}
-	for name, events := range map[string][]Event{
-		"admit for another tenant":  {attempt(1), place(1, 0, 0), place(1, 1, 2), closing(KindAdmit, 2)},
-		"reject for another tenant": {attempt(1), closing(KindReject, 2)},
-		"admit without attempt":     {closing(KindAdmit, 1)},
-		"reject without attempt":    {closing(KindReject, 1)},
-		"attempt inside attempt":    {attempt(1), attempt(2)},
-		"depart inside attempt":     {attempt(1), closing(KindDepart, 1)},
-		"place for another tenant":  {attempt(1), place(2, 0, 0)},
-		"place without a replica":   {attempt(1), place(1, Unset, 0)},
-		"admit with no replica":     {attempt(1), closing(KindAdmit, 1)},
-		"admit with a replica gap":  {attempt(1), place(1, 1, 4), closing(KindAdmit, 1)},
-		"admit after a rollback":    {attempt(1), place(1, 0, 0), closing(KindRollback, 1), closing(KindAdmit, 1)},
-	} {
-		var buf bytes.Buffer
-		w := NewWAL(&buf)
-		for _, e := range events {
-			w.Record(e)
-		}
-		if w.Err() == nil || !w.Failed() {
-			t.Errorf("%s: no sticky error (Failed=%v)", name, w.Failed())
-			continue
-		}
-		if err := w.Sync(); err == nil {
-			t.Errorf("%s: Sync succeeded", name)
-		}
-		if w.Count() != 0 || buf.Len() != 0 {
-			t.Errorf("%s: %d records, %d bytes written", name, w.Count(), buf.Len())
-		}
-	}
-}
-
 // TestWALGroupCommit: records are counted as they are staged and become
 // durable only with the Sync that flushes them.
 func TestWALGroupCommit(t *testing.T) {
@@ -574,7 +525,9 @@ func TestWALCloseIdempotentAfterStickyError(t *testing.T) {
 
 // FuzzReadWAL: the reader never panics, its offsets are consistent with
 // its events, and re-reading the log up to the last offset yields the
-// same events with nothing torn.
+// same events with nothing torn. The events of an accepted log fold back
+// into one Op per record, each closing at its record's last event, and
+// re-encoding those ops reads back as the same events.
 func FuzzReadWAL(f *testing.F) {
 	var valid bytes.Buffer
 	w := NewWAL(&valid)
@@ -616,6 +569,23 @@ func FuzzReadWAL(f *testing.F) {
 		if err != nil || againTorn || !reflect.DeepEqual(again, events) {
 			t.Fatalf("re-reading the %d-byte prefix (torn=%v): %d events, torn=%v, err=%v; want %d events",
 				len(prefix), torn, len(again), againTorn, err, len(events))
+		}
+		var fold OpFold
+		reencoded := []byte(WALHeader)
+		for i := range events {
+			op, err := fold.Next(&events[i])
+			if err != nil {
+				t.Fatalf("event %d does not fold: %v", i, err)
+			}
+			if last := i == len(events)-1 || ends[i+1] != ends[i]; last != (op != nil) {
+				t.Fatalf("event %d closes an op: %v, ends its record: %v", i, op != nil, last)
+			}
+			if op != nil {
+				reencoded = appendOp(reencoded, op)
+			}
+		}
+		if again, againTorn, err = ReadWAL(bytes.NewReader(reencoded)); err != nil || againTorn || !reflect.DeepEqual(again, events) {
+			t.Fatalf("re-encoded ops read back as %d events, torn=%v, err=%v; want %d events", len(again), againTorn, err, len(events))
 		}
 	})
 }

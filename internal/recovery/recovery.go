@@ -49,15 +49,6 @@ type Stats struct {
 	CommittedBytes int64
 }
 
-// op is one serialized engine operation extracted from the log.
-type op struct {
-	remove  bool
-	tenant  packing.Tenant // place ops
-	id      packing.TenantID
-	wantErr bool  // the original admission was rejected
-	hosts   []int // the logged host of each replica of an admission
-}
-
 // FromFile reads the write-ahead log at path, rebuilds an engine with the
 // given configuration, and verifies the result before returning it. A
 // missing file is not an error: recovery of an empty log returns a fresh
@@ -98,9 +89,13 @@ func FromFile(path string, cfg core.Config) (*core.CubeFit, Stats, error) {
 }
 
 // Rebuild re-drives a fresh engine through the operations of the event
-// log and fails at the first admission the engine replays differently
-// from the log: an admit that replays rejected, a reject that replays
-// admitted, or an admit that lands on other hosts than the ones logged.
+// log, folding the events through obs.OpFold and replaying each
+// operation as it closes, and fails at the first event the fold refuses
+// or the first operation the engine replays differently from the log: an
+// admit with other than γ hosts, an admit that replays rejected, a reject
+// that replays admitted, or an admit that lands on other hosts than the
+// ones logged. An admission whose attempt never closed, as a decision
+// stream cut mid-admission ends, is not an operation and is left out.
 // The engine is built without a recorder attached, so recovery does not
 // re-log history; callers attach sinks afterwards.
 func Rebuild(events []obs.Event, cfg core.Config) (*core.CubeFit, Stats, error) {
@@ -109,87 +104,52 @@ func Rebuild(events []obs.Event, cfg core.Config) (*core.CubeFit, Stats, error) 
 		return nil, Stats{}, err
 	}
 	st := Stats{Events: len(events)}
-	if n := obs.InferGamma(events); n > 0 && n != cf.Config().Gamma {
-		return nil, Stats{}, fmt.Errorf("recovery: log was written at γ=%d, engine configured with γ=%d", n, cf.Config().Gamma)
-	}
-	ops, err := extractOps(events)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	var hosts []int
-	for i, o := range ops {
-		if o.remove {
-			if err := cf.Remove(o.id); err != nil {
-				return nil, Stats{}, fmt.Errorf("recovery: op %d: depart tenant %d: %w", i+1, o.id, err)
+	gamma := cf.Config().Gamma
+	var (
+		fold  obs.OpFold
+		hosts []int
+		n     int // operations replayed, the current one included
+	)
+	for i := range events {
+		op, err := fold.Next(&events[i])
+		if err != nil {
+			return nil, Stats{}, fmt.Errorf("recovery: event %d: %w", i+1, err)
+		}
+		if op == nil {
+			continue
+		}
+		n++
+		id := packing.TenantID(op.Tenant)
+		switch op.Kind {
+		case obs.KindDepart:
+			if err := cf.Remove(id); err != nil {
+				return nil, Stats{}, fmt.Errorf("recovery: op %d: depart tenant %d: %w", n, id, err)
 			}
 			st.Departed++
 			continue
+		case obs.KindAdmit:
+			if len(op.Hosts) != gamma {
+				return nil, Stats{}, fmt.Errorf("recovery: op %d: log was written at γ=%d, engine configured with γ=%d", n, len(op.Hosts), gamma)
+			}
 		}
-		err := cf.Place(o.tenant)
+		err = cf.Place(packing.Tenant{ID: id, Load: op.Load, Clients: op.Clients})
+		rejected := op.Kind == obs.KindReject
 		switch {
-		case err == nil && o.wantErr:
-			return nil, Stats{}, fmt.Errorf("recovery: op %d: tenant %d was rejected in the log but replays as admitted", i+1, o.tenant.ID)
-		case err != nil && !o.wantErr:
-			return nil, Stats{}, fmt.Errorf("recovery: op %d: tenant %d was admitted in the log but replays rejected: %w", i+1, o.tenant.ID, err)
+		case err == nil && rejected:
+			return nil, Stats{}, fmt.Errorf("recovery: op %d: tenant %d was rejected in the log but replays as admitted", n, id)
+		case err != nil && !rejected:
+			return nil, Stats{}, fmt.Errorf("recovery: op %d: tenant %d was admitted in the log but replays rejected: %w", n, id, err)
 		case err != nil:
 			st.Rejected++
 			continue
 		}
-		hosts = cf.Placement().TenantHostsInto(o.tenant.ID, hosts)
-		if !slices.Equal(hosts, o.hosts) {
-			return nil, Stats{}, fmt.Errorf("recovery: op %d: tenant %d was logged on servers %v but replays on %v", i+1, o.tenant.ID, o.hosts, hosts)
+		hosts = cf.Placement().TenantHostsInto(id, hosts)
+		if !slices.Equal(hosts, op.Hosts) {
+			return nil, Stats{}, fmt.Errorf("recovery: op %d: tenant %d was logged on servers %v but replays on %v", n, id, op.Hosts, hosts)
 		}
 		st.Admitted++
 	}
 	return cf, st, nil
-}
-
-// extractOps linearizes a log into engine operations. The service layer
-// serializes admissions under one write lock, so each admission's events
-// are contiguous: an attempt opens, place events name the host of each
-// replica (a rollback clears them), and the admit or reject closes. A
-// trailing attempt that never closed is not an operation.
-func extractOps(events []obs.Event) ([]op, error) {
-	var (
-		ops     []op
-		open    bool
-		pending op
-	)
-	for i, e := range events {
-		switch e.Kind {
-		case obs.KindAttempt:
-			if open {
-				return nil, fmt.Errorf("recovery: event %d: attempt for tenant %d interleaves with open admission of tenant %d", i+1, e.Tenant, pending.tenant.ID)
-			}
-			open = true
-			pending = op{tenant: packing.Tenant{ID: packing.TenantID(e.Tenant), Load: e.Size, Clients: e.Clients}}
-		case obs.KindPlace, obs.KindStage1Place, obs.KindCubePlace:
-			if !open || int(pending.tenant.ID) != e.Tenant || e.Replica < 0 {
-				return nil, fmt.Errorf("recovery: event %d: %s for tenant %d outside its admission", i+1, e.Kind, e.Tenant)
-			}
-			for len(pending.hosts) <= e.Replica {
-				pending.hosts = append(pending.hosts, obs.Unset)
-			}
-			pending.hosts[e.Replica] = e.Server
-		case obs.KindRollback:
-			if open {
-				pending.hosts = pending.hosts[:0]
-			}
-		case obs.KindAdmit, obs.KindReject:
-			if !open || int(pending.tenant.ID) != e.Tenant {
-				return nil, fmt.Errorf("recovery: event %d: %s for tenant %d without matching attempt", i+1, e.Kind, e.Tenant)
-			}
-			pending.wantErr = e.Kind == obs.KindReject
-			ops = append(ops, pending)
-			open = false
-		case obs.KindDepart:
-			if open {
-				return nil, fmt.Errorf("recovery: event %d: depart of tenant %d interleaves with open admission of tenant %d", i+1, e.Tenant, pending.tenant.ID)
-			}
-			ops = append(ops, op{remove: true, id: packing.TenantID(e.Tenant)})
-		}
-	}
-	return ops, nil
 }
 
 // Verify checks a rebuilt engine before it serves: its placement must

@@ -157,6 +157,30 @@ func TestRebuildDropsUncommittedTail(t *testing.T) {
 	}
 }
 
+// eventLog is a recorder that keeps every decision event.
+type eventLog struct{ events []obs.Event }
+
+func (l *eventLog) Record(e obs.Event) { l.events = append(l.events, e) }
+
+// TestRebuildFromDecisionStream: the fold ignores every kind outside its
+// grammar, so Rebuild replays the engine's whole decision stream, probes,
+// cube slots and bin lifecycle included, to the live state.
+func TestRebuildFromDecisionStream(t *testing.T) {
+	cfg := core.Config{Gamma: 2, K: 10}
+	var log eventLog
+	live := driveEngine(t, cfg, &log)
+	rebuilt, st, err := Rebuild(log.events, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Admitted != 45 || st.Rejected != 2 || st.Departed != 3 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if got, want := trace.Capture(rebuilt.Placement()), trace.Capture(live.Placement()); !reflect.DeepEqual(got, want) {
+		t.Fatal("rebuilt snapshot differs from live snapshot")
+	}
+}
+
 func TestFromFileTornTail(t *testing.T) {
 	cfg := core.Config{Gamma: 2, K: 10}
 	var buf bytes.Buffer
@@ -287,7 +311,9 @@ func TestRebuildRejectsGammaMismatch(t *testing.T) {
 	}
 }
 
-func TestExtractOpsRejectsInterleavedLog(t *testing.T) {
+// TestRebuildRejectsInterleavedLog: an attempt inside an open admission
+// breaks the grammar, and the error names the event that broke it.
+func TestRebuildRejectsInterleavedLog(t *testing.T) {
 	a1 := obs.NewEvent(obs.KindAttempt)
 	a1.Tenant = 1
 	a1.Size = 0.2
@@ -296,7 +322,8 @@ func TestExtractOpsRejectsInterleavedLog(t *testing.T) {
 	a2.Size = 0.2
 	closeBoth := obs.NewEvent(obs.KindAdmit)
 	closeBoth.Tenant = 1
-	if _, err := extractOps([]obs.Event{a1, a2, closeBoth}); err == nil {
-		t.Fatal("interleaved attempts accepted")
+	if _, _, err := Rebuild([]obs.Event{a1, a2, closeBoth}, core.Config{Gamma: 2, K: 10}); err == nil ||
+		!strings.Contains(err.Error(), "event 2:") {
+		t.Fatalf("interleaved attempts: %v, want an error at event 2", err)
 	}
 }
