@@ -63,6 +63,7 @@ func TestRealTreeHotpathAnnotationsPresent(t *testing.T) {
 		"cubefit/internal/core.CubeFit.placeAtCursor",
 		"cubefit/internal/core.CubeFit.advance",
 		"cubefit/internal/core.CubeFit.refreshBin",
+		"cubefit/internal/core.CubeFit.refreshHosts",
 		// The Best-Fit index: filing, unfiling and re-keying a bin, and
 		// the slack-maximum pull every tree step runs.
 		"cubefit/internal/core.fitIndex.insert",

@@ -22,7 +22,8 @@ type CubeFit struct {
 	// active lists mature bins eligible for the first stage.
 	active []*bin
 	// index mirrors active in Best-Fit order for the fast-path first stage
-	// (see index.go). Maintained by refreshBin/removeActive.
+	// and holds every server's slack, in one node per server (see
+	// index.go). Maintained by refreshBin/removeActive.
 	index fitIndex
 	cubes map[cubeKey]*cube
 
@@ -170,29 +171,20 @@ type cube struct {
 // bin is CubeFit's bookkeeping for one server.
 type bin struct {
 	server int
-	// level and slack cache the hosting server's level and usable slack
-	// 1 − level − reserve as of the last refreshBin. refreshBin runs for
-	// every server whose level or shared loads changed, so the caches are
-	// never stale when the first stage reads them.
+	// level caches the hosting server's level as of the last refreshBin,
+	// which also writes the usable slack 1 − level − reserve into the
+	// server's index node (see index.go). refreshBin runs for every server
+	// whose level or shared loads changed, by the end of each admission
+	// and departure; within a first stage the tenant's hosts wait for the
+	// last replica (tryFirstStage), and the search skips them.
 	level float64
-	slack float64
-	// key, leftMax, rightMax, left, right and prio thread the bin through
-	// CubeFit.index while it is active (see index.go): the level it is
-	// filed under, the largest slack in each child subtree, the children
-	// (server IDs, noBin for none) and its priority. They sit next to
-	// level and slack, which every tree step reads with them.
-	key      float64
-	leftMax  float64
-	rightMax float64
-	left     int32
-	right    int32
-	prio     uint32
 
 	// tau and tiny name the bin's class; the bin matures once the cube's
 	// cursor has closed its tau payload slots. Nothing is kept per slot:
 	// the first stage reads the level and reserve, and the tiny
-	// accumulation its cube's fill. No bin field holds a pointer
-	// (TestBinLayout), so the collector never scans inside a bin.
+	// accumulation its cube's fill. No bin field holds a pointer and the
+	// bin fits the 160-byte size class (TestBinLayout), so the collector
+	// never scans inside a bin.
 	tau       int32
 	tiny      bool
 	closed    int32 // payload slots the cursor has advanced past
@@ -379,16 +371,11 @@ func (cf *CubeFit) unwind(id packing.TenantID) {
 	if _, ok := cf.p.Tenant(id); !ok {
 		return
 	}
-	hosts := cf.p.TenantHostsInto(id, cf.hostScratch)
-	cf.hostScratch = hosts
+	hosts := cf.hostsOf(id)
 	// RemoveTenant cannot fail for a registered tenant; every placed
 	// replica recorded in its hosts is unplaceable by construction.
 	_ = cf.p.RemoveTenant(id)
-	for _, h := range hosts {
-		if h >= 0 {
-			cf.refreshBin(cf.bins[h])
-		}
-	}
+	cf.refreshHosts(hosts)
 }
 
 // placeRegular runs the second stage for a class-τ tenant (τ < K).
@@ -475,13 +462,7 @@ func (cf *CubeFit) placeAtCursor(cb *cube, reps []packing.Replica) error {
 	}
 	// Refresh reserve caches once per touched server (shared loads changed
 	// between every pair of the γ bins).
-	hosts := cf.p.TenantHostsInto(reps[0].Tenant, cf.hostScratch)
-	cf.hostScratch = hosts
-	for _, h := range hosts {
-		if h >= 0 {
-			cf.refreshBin(cf.bins[h])
-		}
-	}
+	cf.refreshHosts(cf.hostsOf(reps[0].Tenant))
 	return nil
 }
 
@@ -573,15 +554,12 @@ func (cf *CubeFit) binAt(cb *cube, j, binIdx int) (*bin, error) {
 	}
 	b := &bin{
 		server:    sid,
-		slack:     1, // an empty server's: refreshBin runs only once it hosts a replica
 		tau:       int32(cb.tau),
 		tiny:      cb.tiny,
 		activeIdx: -1,
-		left:      noBin,
-		right:     noBin,
-		prio:      binPrio(sid),
 	}
 	cf.bins = append(cf.bins, b)
+	cf.index.open(sid)
 	cb.groups[j][binIdx] = sid
 	if cf.rec != nil {
 		e := obs.NewEvent(obs.KindBinOpen)
@@ -607,9 +585,9 @@ func (cf *CubeFit) matureBin(b *bin) {
 	cf.refreshBin(b)
 }
 
-// refreshBin recomputes the bin's cached failover reserve, level and slack
-// and maintains its membership in the active (first-stage candidate) list
-// and the Best-Fit index.
+// refreshBin recomputes the bin's cached failover reserve and level, and
+// the slack in its index node, and maintains its membership in the active
+// (first-stage candidate) list and the Best-Fit index.
 //
 //cubefit:hotpath
 func (cf *CubeFit) refreshBin(b *bin) {
@@ -620,12 +598,15 @@ func (cf *CubeFit) refreshBin(b *bin) {
 		b.reserve = srv.TopShared(cf.cfg.Gamma - 1)
 	}
 	b.level = srv.Level()
-	b.slack = 1 - b.level - b.reserve
+	slack := 1 - b.level - b.reserve
+	nd := &cf.index.nodes[b.server]
+	prev := nd.slack
+	nd.slack = slack
 	if !b.mature {
 		return
 	}
 	switch {
-	case packing.FitsWithin(b.slack, cf.cfg.PruneSlack):
+	case packing.FitsWithin(slack, cf.cfg.PruneSlack):
 		if b.activeIdx >= 0 {
 			cf.removeActive(b)
 		}
@@ -642,11 +623,11 @@ func (cf *CubeFit) refreshBin(b *bin) {
 		b.activeIdx = int32(len(cf.active))
 		//cubefit:vet-allow hotpath -- activation growth is amortized: steady state reuses the capacity freed by removeActive swap-removes
 		cf.active = append(cf.active, b)
-		cf.index.insert(cf.bins, b)
+		cf.index.insert(int32(b.server), b.level)
 	default:
 		// Already active: re-key on a level change, re-pull the slack
-		// maxima otherwise.
-		cf.index.update(cf.bins, b)
+		// maxima on a slack change.
+		cf.index.update(int32(b.server), b.level, prev)
 	}
 }
 
@@ -669,7 +650,7 @@ func (cf *CubeFit) removeActive(b *bin) {
 	cf.active[i].activeIdx = i
 	cf.active = cf.active[:last]
 	b.activeIdx = -1
-	cf.index.remove(cf.bins, b)
+	cf.index.remove(int32(b.server))
 }
 
 // NumActiveMatureBins reports the number of mature bins currently eligible

@@ -339,25 +339,37 @@ func TestConfigAccessor(t *testing.T) {
 
 // TestBinLayout pins the bin table's footprint: a fleet holds one bin per
 // server, so a bin stays pointer-free, which keeps the collector from
-// scanning it, and within 200 bytes.
+// scanning it, and within Go's 160-byte size class.
 func TestBinLayout(t *testing.T) {
-	var walk func(path string, typ reflect.Type)
-	walk = func(path string, typ reflect.Type) {
-		switch typ.Kind() {
-		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
-			reflect.String, reflect.Interface, reflect.Chan, reflect.Func:
-			t.Errorf("bin field %s has kind %v, which holds a pointer", path, typ.Kind())
-		case reflect.Array:
-			walk(path+"[]", typ.Elem())
-		case reflect.Struct:
-			for i := 0; i < typ.NumField(); i++ {
-				f := typ.Field(i)
-				walk(path+"."+f.Name, f.Type)
-			}
-		}
+	assertPointerFree(t, "bin", reflect.TypeOf(bin{}))
+	if size := unsafe.Sizeof(bin{}); size > 160 {
+		t.Errorf("unsafe.Sizeof(bin{}) = %d B, want at most 160", size)
 	}
-	walk("bin", reflect.TypeOf(bin{}))
-	if size := unsafe.Sizeof(bin{}); size > 200 {
-		t.Errorf("unsafe.Sizeof(bin{}) = %d B, want at most 200", size)
+}
+
+// TestNodeLayout pins the Best-Fit index's node at 48 bytes with no
+// pointer: every tree step reads one, from an array of one per server.
+func TestNodeLayout(t *testing.T) {
+	assertPointerFree(t, "node", reflect.TypeOf(node{}))
+	if size := unsafe.Sizeof(node{}); size != 48 {
+		t.Errorf("unsafe.Sizeof(node{}) = %d B, want 48", size)
+	}
+}
+
+// assertPointerFree fails for every field of typ, recursively, whose kind
+// holds a pointer.
+func assertPointerFree(t *testing.T, path string, typ reflect.Type) {
+	t.Helper()
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+		reflect.String, reflect.Interface, reflect.Chan, reflect.Func:
+		t.Errorf("field %s has kind %v, which holds a pointer", path, typ.Kind())
+	case reflect.Array:
+		assertPointerFree(t, path+"[]", typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			assertPointerFree(t, path+"."+f.Name, f.Type)
+		}
 	}
 }

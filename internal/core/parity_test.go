@@ -176,48 +176,57 @@ func TestFitIndexStructure(t *testing.T) {
 }
 
 // checkFitIndex verifies the Best-Fit index of cf against a recomputation
-// from the bins themselves.
+// from the bins and their servers: one node per server with its hashed
+// priority, and a tree over exactly the active bins.
 func checkFitIndex(t *testing.T, cf *CubeFit) {
 	t.Helper()
-	var order []*bin
+	nodes := cf.index.nodes
+	if len(nodes) != len(cf.bins) {
+		t.Fatalf("index has %d nodes for %d bins", len(nodes), len(cf.bins))
+	}
+	var order []int32
 	var walk func(n int32, parentPrio uint32) float64
 	walk = func(n int32, parentPrio uint32) float64 {
 		if n == noBin {
 			return noSlack
 		}
-		b := cf.bins[n]
-		if b.prio > parentPrio {
-			t.Fatalf("bin %d: priority %d above its parent's %d", b.server, b.prio, parentPrio)
+		nd := nodes[n]
+		if nd.prio != binPrio(int(n)) {
+			t.Fatalf("node %d: priority %d, want binPrio %d", n, nd.prio, binPrio(int(n)))
 		}
-		left := walk(b.left, b.prio)
-		order = append(order, b)
-		right := walk(b.right, b.prio)
-		if b.leftMax != left || b.rightMax != right {
-			t.Fatalf("bin %d: recorded child slack maxima (%v, %v), recomputed (%v, %v)",
-				b.server, b.leftMax, b.rightMax, left, right)
+		if nd.prio > parentPrio {
+			t.Fatalf("node %d: priority %d above its parent's %d", n, nd.prio, parentPrio)
 		}
-		return math.Max(b.slack, math.Max(left, right))
+		left := walk(nd.left, nd.prio)
+		order = append(order, n)
+		right := walk(nd.right, nd.prio)
+		if nd.leftMax != left || nd.rightMax != right {
+			t.Fatalf("node %d: recorded child slack maxima (%v, %v), recomputed (%v, %v)",
+				n, nd.leftMax, nd.rightMax, left, right)
+		}
+		return math.Max(nd.slack, math.Max(left, right))
 	}
 	walk(cf.index.root, math.MaxUint32)
 	if len(order) != len(cf.active) {
 		t.Fatalf("index holds %d bins, active list %d", len(order), len(cf.active))
 	}
-	for i, b := range order {
+	for i, id := range order {
+		b, nd := cf.bins[id], nodes[id]
 		if b.activeIdx < 0 || cf.active[b.activeIdx] != b {
-			t.Fatalf("bin %d: indexed but not active", b.server)
+			t.Fatalf("bin %d: indexed but not active", id)
 		}
 		level := cf.p.Server(b.server).Level()
-		if b.key != b.level || b.level != level {
-			t.Fatalf("bin %d: filed under %v, cached level %v, server level %v", b.server, b.key, b.level, level)
+		if nd.key != b.level || b.level != level {
+			t.Fatalf("bin %d: filed under %v, cached level %v, server level %v", id, nd.key, b.level, level)
 		}
-		if packing.FitsWithin(b.slack, cf.cfg.PruneSlack) {
-			t.Fatalf("bin %d: indexed with slack %v at or below PruneSlack %v", b.server, b.slack, cf.cfg.PruneSlack)
+		if packing.FitsWithin(nd.slack, cf.cfg.PruneSlack) {
+			t.Fatalf("bin %d: indexed with slack %v at or below PruneSlack %v", id, nd.slack, cf.cfg.PruneSlack)
 		}
 		if i > 0 {
 			prev := order[i-1]
-			if !(prev.level > b.level || (prev.level == b.level && prev.server < b.server)) {
-				t.Fatalf("in-order walk not Best-Fit order: bin %d (level %v) before bin %d (level %v)",
-					prev.server, prev.level, b.server, b.level)
+			if !precedes(nodes[prev].key, prev, nd.key, id) {
+				t.Fatalf("in-order walk not Best-Fit order: bin %d (key %v) before bin %d (key %v)",
+					prev, nodes[prev].key, id, nd.key)
 			}
 		}
 	}

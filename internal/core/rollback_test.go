@@ -20,17 +20,17 @@ func failOnCall(n int) func(int, packing.Replica) error {
 	}
 }
 
-// checkBinCaches asserts that every bin's cached level and slack match its
-// server as the placement now stands.
+// checkBinCaches asserts that every bin's cached level, and the slack in
+// its index node, match its server as the placement now stands.
 func checkBinCaches(t *testing.T, cf *CubeFit) {
 	t.Helper()
 	for _, b := range cf.bins {
 		srv := cf.p.Server(b.server)
 		level := srv.Level()
 		slack := 1 - level - srv.TopShared(cf.cfg.Gamma-1)
-		if b.level != level || b.slack != slack {
+		if got := cf.index.nodes[b.server].slack; b.level != level || got != slack {
 			t.Fatalf("bin %d: cached level %v and slack %v, server reads %v and %v",
-				b.server, b.level, b.slack, level, slack)
+				b.server, b.level, got, level, slack)
 		}
 	}
 }

@@ -11,6 +11,20 @@ import (
 // level; if some replica has no m-fitting bin, all earlier replicas are
 // rolled back and the tenant falls through to the second stage.
 //
+// The tenant's hosts are refreshed once, after the last replica lands (or,
+// on a fallback, once after the unplace), not after every replica. In
+// between, only those hosts' bins and index entries are stale, and the
+// search never reads them: firstMFit skips the tenant's hosts before it
+// probes a bin, mFits reads their levels from the placement and their
+// reserves from the digests the shared-load hook keeps current, and a
+// stale, higher slack inside a subtree maximum can only let the walk enter
+// a subtree, not skip a bin. Levels still change only through Place and
+// Unplace, and the treap's shape depends only on its key set, so the
+// placements and the tree after the refresh are those of a refresh per
+// replica. A fallback therefore emits no bin_retire/bin_reactivate pair
+// for its transient placement, and a success's bin_retire follows its
+// last stage1_place.
+//
 //cubefit:hotpath
 func (cf *CubeFit) tryFirstStage(t packing.Tenant, reps []packing.Replica) bool {
 	placed := 0
@@ -49,7 +63,6 @@ func (cf *CubeFit) tryFirstStage(t packing.Tenant, reps []packing.Replica) bool 
 			return false
 		}
 		placed++
-		cf.refreshAfterPlacement(t.ID)
 		if cf.rec != nil {
 			e := obs.NewEvent(obs.KindStage1Place)
 			e.Tenant = int(t.ID)
@@ -60,36 +73,43 @@ func (cf *CubeFit) tryFirstStage(t packing.Tenant, reps []packing.Replica) bool 
 			cf.emit(&e)
 		}
 	}
+	cf.refreshHosts(cf.hostsOf(t.ID))
 	return true
 }
 
 // rollbackFirstStage unplaces the first `placed` replicas of the tenant and
-// restores the reserve caches of every affected bin.
+// refreshes the bins that hosted them.
 //
 //cubefit:hotpath
 func (cf *CubeFit) rollbackFirstStage(t packing.Tenant, reps []packing.Replica, placed int) {
 	if placed == 0 {
 		return
 	}
-	hosts := cf.p.TenantHostsInto(t.ID, cf.hostScratch)
-	cf.hostScratch = hosts
+	hosts := cf.hostsOf(t.ID)
 	for j := 0; j < placed; j++ {
 		_ = cf.p.Unplace(t.ID, reps[j].Index)
 	}
-	for _, h := range hosts {
-		if h >= 0 {
-			cf.refreshBin(cf.bins[h])
-		}
-	}
+	cf.refreshHosts(hosts)
 }
 
-// refreshAfterPlacement refreshes the reserve caches of every server
-// hosting a replica of the tenant (their pairwise shared loads changed).
+// hostsOf returns the servers hosting the tenant's replicas, by replica
+// index (−1 for one not placed), in a scratch buffer valid until the next
+// hostsOf call.
 //
 //cubefit:hotpath
-func (cf *CubeFit) refreshAfterPlacement(id packing.TenantID) {
+func (cf *CubeFit) hostsOf(id packing.TenantID) []int {
 	hosts := cf.p.TenantHostsInto(id, cf.hostScratch)
 	cf.hostScratch = hosts
+	return hosts
+}
+
+// refreshHosts refreshes the reserve caches and index entries of the
+// given servers, skipping −1 entries: the hosts of a tenant whose
+// replicas were just placed or unplaced, whose levels and pairwise shared
+// loads changed.
+//
+//cubefit:hotpath
+func (cf *CubeFit) refreshHosts(hosts []int) {
 	for _, h := range hosts {
 		if h >= 0 {
 			cf.refreshBin(cf.bins[h])
@@ -125,7 +145,7 @@ func (cf *CubeFit) bestMFit(t packing.Tenant, rep packing.Replica) (best *bin, p
 //cubefit:hotpath
 func (cf *CubeFit) bestMFitIndexed(t packing.Tenant, rep packing.Replica) (best *bin, probed int) {
 	root := cf.index.root
-	if !packing.FitsWithin(rep.Size, subMax(cf.bins, root)) {
+	if !packing.FitsWithin(rep.Size, subMax(cf.index.nodes, root)) {
 		return nil, 0
 	}
 	earlier := cf.placedHosts(t.ID)
@@ -138,27 +158,29 @@ func (cf *CubeFit) bestMFitIndexed(t packing.Tenant, rep packing.Replica) (best 
 // bins that reach the m-fit test. The caller has checked that the
 // subtree's slack maximum holds the replica; the walk only enters child
 // subtrees whose recorded maximum does too, and a bin that fails the
-// test resumes the walk right after it.
+// test resumes the walk right after it. The walk reads index nodes; it
+// reads a bin only through the m-fit test of one it probes.
 //
 //cubefit:hotpath
 func (cf *CubeFit) firstMFit(n int32, t packing.Tenant, rep packing.Replica, earlier []int, probed *int) *bin {
+	nodes := cf.index.nodes
 	for {
-		b := cf.bins[n]
-		if packing.FitsWithin(rep.Size, b.leftMax) {
-			if found := cf.firstMFit(b.left, t, rep, earlier, probed); found != nil {
+		nd := &nodes[n]
+		if packing.FitsWithin(rep.Size, nd.leftMax) {
+			if found := cf.firstMFit(nd.left, t, rep, earlier, probed); found != nil {
 				return found
 			}
 		}
-		if packing.FitsWithin(rep.Size, b.slack) && !hostsTenant(earlier, b.server) {
+		if packing.FitsWithin(rep.Size, nd.slack) && !hostsTenant(earlier, int(n)) {
 			*probed++
-			if cf.mFits(cf.p.Server(b.server), earlier, rep) {
-				return b
+			if cf.mFits(cf.p.Server(int(n)), earlier, rep) {
+				return cf.bins[n]
 			}
 		}
-		if !packing.FitsWithin(rep.Size, b.rightMax) {
+		if !packing.FitsWithin(rep.Size, nd.rightMax) {
 			return nil
 		}
-		n = b.right
+		n = nd.right
 	}
 }
 
