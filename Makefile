@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-build lint lint-json test test-short race bench bench-compare loadtest loadtest-compare loadtest-wal loadtest-trace loadtest-health healthcheck perf size profile cover experiments figure5 figure6 table1 theorem2 fmt
+.PHONY: all build vet vet-build lint lint-json test test-short race perfgate healthcheck perf size profile cover experiments figure5 figure6 table1 theorem2 fmt
 
 all: build vet lint test
 
@@ -58,75 +58,31 @@ test-short:
 race:
 	$(GO) test -race ./...
 
-# Benchmarks with a machine-readable report: the raw `go test -bench`
-# text lands in bench.out and cmd/cubefit-bench converts it to
-# BENCH_pr10.json for CI archiving and cross-commit diffing. BENCHTIME=1x
-# keeps the default run fast; use BENCHTIME=1s (or more) for stable
-# numbers.
-BENCHTIME ?= 1x
-bench:
-	$(GO) test -bench=. -benchmem -run '^$$' -benchtime=$(BENCHTIME) . | tee bench.out
-	$(GO) run ./cmd/cubefit-bench -out BENCH_pr10.json bench.out
-
-# Diff the fresh benchmark report against the committed previous-PR
-# baseline. Exit code 2 (and a REGRESSION marker) when any ns/op, B/op,
-# or allocs/op grew by more than BENCH_THRESHOLD; tune the tolerance for
-# noisy machines with e.g. `make bench-compare BENCH_THRESHOLD=0.50`.
-BENCH_THRESHOLD ?= 0.20
-bench-compare: bench
-	$(GO) run ./cmd/cubefit-bench -compare BENCH_pr5.json BENCH_pr10.json -threshold $(BENCH_THRESHOLD)
-
-# Closed-loop admission load harness: single vs batched admission over
-# loopback HTTP, per-tenant throughput and P50/P99 latency. LOAD_OPS
-# bounds the run for CI smoke; LOAD_MINSPEEDUP fails (exit 2) when the
-# batch path is not at least that many times faster per admitted tenant —
-# conservative because CI runners are slow, shared, and often single-core
-# (the batch endpoint's measured advantage grows with cores and ops).
-LOAD_OPS ?= 10000
-LOAD_MINSPEEDUP ?= 3
-loadtest:
-	$(GO) run ./cmd/cubefit-load -ops $(LOAD_OPS) -minspeedup $(LOAD_MINSPEEDUP) -o LOAD_pr10.json
-
-# Diff the fresh load report against the committed baseline: per-tenant
-# ns/op regressions beyond the threshold fail like bench regressions.
-# This is a blocking CI gate (the loadtest job): the -minspeedup floor
-# inside `make loadtest` plus this regression diff together pin the
-# admission fast path's end-to-end win.
-loadtest-compare: loadtest
-	$(GO) run ./cmd/cubefit-bench -compare LOAD_baseline.json LOAD_pr10.json -threshold $(BENCH_THRESHOLD)
-
-# Same harness with the write-ahead log on a temp file: every batch and
-# single admission is group-committed (flushed and fsynced) before its
-# ack, so this drives the durable commit path end to end.
-loadtest-wal:
-	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) run ./cmd/cubefit-load -ops $(LOAD_OPS) -wal "$$dir/wal.jsonl" -o LOAD_wal.json
-
-# Span-layer overhead gate: the same harness with admission tracing off
-# (baseline) and on, diffed. The acceptance bar is ≥95% of untraced
-# batch throughput (the span cycle microbenchmarks at ~0.7µs against a
-# ~15µs admission); the default threshold adds headroom for the ±10%
-# process-to-process scheduler noise that two back-to-back runs see on
-# small or shared machines — tighten with TRACE_OVERHEAD=0.05 on a quiet
-# multi-core box. The tracing-off report carries no stage columns, so
-# the diff compares throughput only.
-TRACE_OVERHEAD ?= 0.10
-TRACE_OPS ?= 30000
-loadtest-trace:
-	$(GO) run ./cmd/cubefit-load -ops $(TRACE_OPS) -trace=false -o LOAD_notrace.json
-	$(GO) run ./cmd/cubefit-load -ops $(TRACE_OPS) -o LOAD_trace.json
-	$(GO) run ./cmd/cubefit-bench -compare LOAD_notrace.json LOAD_trace.json -threshold $(TRACE_OVERHEAD)
-
-# Health sampler overhead: the load harness with the telemetry loop off
-# (baseline) and on, diffed like the tracing gate. The sampler scrapes
-# the registry once per -health-interval off the admission path, so the
-# expected cost is noise; the threshold matches the tracing gate's
-# shared-runner headroom.
-HEALTH_OVERHEAD ?= 0.10
-loadtest-health:
-	$(GO) run ./cmd/cubefit-load -ops $(TRACE_OPS) -health=false -o LOAD_nohealth.json
-	$(GO) run ./cmd/cubefit-load -ops $(TRACE_OPS) -o LOAD_health.json
-	$(GO) run ./cmd/cubefit-bench -compare LOAD_nohealth.json LOAD_health.json -threshold $(HEALTH_OVERHEAD)
+# The blocking benchmark gate: three short runs of perfbench, the
+# repository benchmark, which boots the service from its log as
+# `cubefit-server -wal` does and drives it over loopback HTTP. Each run
+# must exit 0 and end on a result line reading "correct":true and
+# "failed":0. The floors hold on the durable path what the WAL-off load
+# harness it replaced held: 1.5x that harness's committed per-tenant
+# rates (15,015.7 ns batched, 87,079.4 ns single), so batch-grow must
+# reach 44,400 ops/s and single-churn 7,660, and batch-grow must reach 3x
+# single-churn. The result lines land in perfgate.jsonl, in run order;
+# each run's full output in .bench_build/perfgate/.
+perfgate:
+	@set -e; mkdir -p .bench_build/perfgate; : > perfgate.jsonl; \
+	for run in batch-grow:3 single-churn:3 restart:1; do \
+		w=$${run%:*}; log=.bench_build/perfgate/$$w.out; \
+		if ! bash perfbench/run.sh --workload $$w --seconds $${run#*:} --seed 1 > $$log; then \
+			cat $$log; echo "perfgate: $$w exited non-zero"; exit 1; \
+		fi; \
+		cat $$log; \
+		tail -n 1 $$log | jq -ce 'select(.correct == true and .failed == 0)' >> perfgate.jsonl || \
+			{ echo "perfgate: $$w: the last line is not a result reading \"correct\":true and \"failed\":0"; exit 1; }; \
+	done; \
+	jq -sre '.[0].metrics.ops_tps.value as $$g | .[1].metrics.ops_tps.value as $$c'\
+	' | "batch-grow \($$g) ops/s (floor 44400), single-churn \($$c) ops/s (floor 7660), ratio \($$g / $$c) (floor 3)" as $$m'\
+	' | if $$g >= 44400 and $$c >= 7660 and $$g >= 3 * $$c then "perfgate: pass: \($$m)"'\
+	' else error("perfgate: below a floor: \($$m)") end' perfgate.jsonl
 
 # End-to-end health smoke: boot a real server with a fast sampling
 # interval and a health log, probe liveness/readiness, admit a tenant,
@@ -154,26 +110,30 @@ healthcheck:
 # The per-layer microbenchmark ledger: fleet-scale engine admissions with
 # their heap bytes per tenant, the recorder-free admit/depart cycle, the
 # placer's commit path per admission (engine, event delivery, re-audit
-# and group commit on a 100k-tenant fleet), the headroom auditor's
+# and group commit on a 100k-tenant fleet), the span tracer's cost per
+# admission, one health tick on the same fleet, the headroom auditor's
 # refresh after one tenant's mutation, the log's per-record encode and a
 # 10k-tenant recovery, each repeated PERF_COUNT times with allocation
-# counts, into perf.out. Nothing is gated on it; compare two commits'
-# files with benchstat or by eye. BenchmarkPlaceFleet rebuilds its fleet
-# untimed after every tenants/10 timed admissions, and BenchmarkPlacerAdmit
-# grows its fleet by the timed ones, so both run a fixed 20000 admissions
-# per repetition: the rebuilds stay bounded and two runs measure the same
-# fleets.
+# counts, into perf.out, which cubefit-bench converts to perf.json.
+# Nothing is gated on it; compare two commits' files with benchstat,
+# `cubefit-bench -compare` or by eye. BenchmarkPlaceFleet rebuilds its
+# fleet untimed after every tenants/10 timed admissions, and
+# BenchmarkPlacerAdmit grows its fleet by the timed ones, so both run a
+# fixed 20000 admissions per repetition: the rebuilds stay bounded and two
+# runs measure the same fleets.
 PERF_COUNT ?= 5
 perf:
 	@set -e; { \
 	$(GO) test -run '^$$' -bench '^BenchmarkPlaceNoRecorder$$' -count $(PERF_COUNT) -benchmem ./internal/core/; \
 	$(GO) test -run '^$$' -bench '^BenchmarkPlaceFleet$$' -benchtime 20000x -count $(PERF_COUNT) -benchmem ./internal/core/; \
 	$(GO) test -run '^$$' -bench '^BenchmarkPlacerAdmit$$' -benchtime 20000x -count $(PERF_COUNT) -benchmem ./internal/api/; \
+	$(GO) test -run '^$$' -bench '^(BenchmarkSpanOverhead|BenchmarkHealthTick)$$' -count $(PERF_COUNT) -benchmem ./internal/api/; \
 	$(GO) test -run '^$$' -bench '^BenchmarkHeadroomIncremental$$' -count $(PERF_COUNT) -benchmem .; \
 	$(GO) test -run '^$$' -bench '^BenchmarkWALRecord$$' -count $(PERF_COUNT) -benchmem ./internal/obs/; \
 	$(GO) test -run '^$$' -bench '^BenchmarkRecoverFleet$$/^tenants10000$$' -count $(PERF_COUNT) -benchmem ./internal/recovery/; \
 	} > perf.out
 	@cat perf.out
+	$(GO) run ./cmd/cubefit-bench -out perf.json perf.out
 
 # The size metric ROADMAP.md tracks (item 12): lines of the Go files git
 # tracks outside perfbench/ and testdata, non-test and test. A new file

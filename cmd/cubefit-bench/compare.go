@@ -17,17 +17,9 @@ var ErrRegression = errors.New("benchmark regression beyond threshold")
 
 // comparedUnits are the metrics the diff tracks, in display order. Lower
 // is better for all of them; custom units (e.g. "servers") are ignored
-// because their direction is benchmark-specific. The latency and pipeline
-// stage percentiles come from cubefit-load reports (tracing enabled);
-// a report without them — e.g. a -trace=false baseline — simply compares
-// on the throughput metrics, since absent units are skipped.
-var comparedUnits = []string{
-	"ns/op", "B/op", "allocs/op",
-	"p50-ns", "p99-ns",
-	"queue-p50-ns", "queue-p99-ns",
-	"place-p50-ns", "place-p99-ns",
-	"commit-p50-ns", "commit-p99-ns",
-}
+// because their direction is benchmark-specific, and a unit absent from
+// either report is skipped.
+var comparedUnits = []string{"ns/op", "B/op", "allocs/op"}
 
 // defaultThreshold is the relative slowdown tolerated before a metric
 // counts as a regression (benchmarks on shared machines are noisy).

@@ -107,40 +107,6 @@ func TestCompareAddedAndRemovedBenchmarks(t *testing.T) {
 	}
 }
 
-// TestCompareStageMetrics: the pipeline stage percentiles from
-// cubefit-load reports are tracked (a stage regression fails the gate),
-// and a baseline without them — a -trace=false run — still compares on
-// the throughput metrics alone.
-func TestCompareStageMetrics(t *testing.T) {
-	dir := t.TempDir()
-	stage := func(ns, queueP99 float64) Benchmark {
-		b := bench("Load/batch", ns, 0, 0)
-		b.Metrics["queue-p50-ns"] = queueP99 / 2
-		b.Metrics["queue-p99-ns"] = queueP99
-		b.Metrics["commit-p99-ns"] = 5000
-		return b
-	}
-	oldPath := writeReport(t, dir, "old.json", Report{Benchmarks: []Benchmark{stage(1000, 8000)}})
-	newPath := writeReport(t, dir, "new.json", Report{Benchmarks: []Benchmark{stage(1000, 20000)}})
-	var out bytes.Buffer
-	err := run([]string{"-compare", oldPath, newPath}, nil, &out)
-	if !errors.Is(err, ErrRegression) {
-		t.Fatalf("queue-p99-ns doubled, err = %v, want ErrRegression", err)
-	}
-	if !strings.Contains(out.String(), "queue-p99-ns") {
-		t.Errorf("regression not attributed to queue-p99-ns:\n%s", out.String())
-	}
-
-	// Tracing-off baseline: stage columns absent on one side are skipped.
-	barePath := writeReport(t, dir, "bare.json", Report{Benchmarks: []Benchmark{
-		bench("Load/batch", 1000, 0, 0),
-	}})
-	out.Reset()
-	if err := run([]string{"-compare", barePath, newPath}, nil, &out); err != nil {
-		t.Fatalf("stage columns missing from the baseline must be skipped: %v", err)
-	}
-}
-
 func TestCompareUsageErrors(t *testing.T) {
 	var out bytes.Buffer
 	for _, args := range [][]string{

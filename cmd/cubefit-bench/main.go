@@ -1,11 +1,11 @@
 // Command cubefit-bench converts the text output of `go test -bench` into
 // a machine-readable JSON report, so CI can archive benchmark runs and
-// diff them across commits without scraping free-form text.
+// diff them across commits without scraping free-form text. `make perf`
+// runs it on the microbenchmark ledger, perf.out, to write perf.json.
 //
 // Usage:
 //
-//	go test -bench=. -benchmem -run '^$' . > bench.out
-//	cubefit-bench -out BENCH.json bench.out
+//	cubefit-bench -out perf.json perf.out
 //	go test -bench=. -benchmem -run '^$' . | cubefit-bench
 //	cubefit-bench -compare old.json new.json [-threshold 0.20]
 //

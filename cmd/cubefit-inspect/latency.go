@@ -14,11 +14,10 @@ import (
 )
 
 // runLatency replays a span log (the JSONL written by the controller's
-// span sink; see `cubefit-server -spans` or `cubefit-load -spans`) and
-// decomposes end-to-end admission latency into pipeline stages: per-stage
-// P50/P99/mean/max, the share of total time each stage accounts for, the
-// telescoping reconciliation check, and fsync amortization versus
-// group-commit size.
+// span sink; see `cubefit-server -spans`) and decomposes end-to-end
+// admission latency into pipeline stages: per-stage P50/P99/mean/max, the
+// share of total time each stage accounts for, the telescoping
+// reconciliation check, and fsync amortization versus group-commit size.
 func runLatency(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cubefit-inspect latency", flag.ContinueOnError)
 	var (

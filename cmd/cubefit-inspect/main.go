@@ -18,10 +18,10 @@
 // tenants causing them.
 //
 // The latency subcommand replays an admission span log (the JSONL written
-// by `cubefit-server -spans` or `cubefit-load -spans`) and decomposes
-// end-to-end admission latency into pipeline stages — queue, place, WAL
-// stage, fsync, ack — with per-stage P50/P99, the telescoping
-// reconciliation check, and fsync amortization versus group-commit size.
+// by `cubefit-server -spans`) and decomposes end-to-end admission latency
+// into pipeline stages — queue, place, WAL stage, fsync, ack — with
+// per-stage P50/P99, the telescoping reconciliation check, and fsync
+// amortization versus group-commit size.
 //
 // The health subcommand replays a health log (the JSONL written by
 // `cubefit-server -health-log`) through a fresh telemetry rule engine

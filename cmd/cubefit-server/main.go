@@ -65,7 +65,7 @@
 // JSONL for offline replay with `cubefit-inspect health`.
 //
 // Durability: with -wal the server keeps a write-ahead operation log, one
-// append-only file written through one commit path: after a format header,
+// append-only file: after a format header,
 // one record per admission (tenant, load, clients, the host of each
 // replica), rejected admission or departure. At boot the server replays
 // the log into a fresh engine (recovery.FromFile), checks every replayed
@@ -76,9 +76,12 @@
 // there is no migration). It also refuses to boot while segment files of
 // the retired sharded log format (<path>.seg0, <path>.seg1, …) sit beside
 // the log: their history would otherwise be silently ignored. Each
-// coalesced admission batch and each departure is group-committed
-// (flushed and fsynced) to the log before it is acked; if the log cannot
-// commit, mutations fail closed with 503. The decision stream itself is
+// coalesced admission batch is group-committed (flushed and fsynced) by
+// the placer before it is acked; each departure syncs the same file from
+// its own handler before its 204. If the log cannot commit, mutations
+// fail closed with 503; a departure whose sync failed re-admits its
+// tenant first, possibly on other hosts (ROADMAP.md item 9 gives
+// departures the placer's commit path). The decision stream itself is
 // not logged: it stays available at GET /debug/events.
 //
 // On SIGINT/SIGTERM the server marks itself draining (GET /readyz flips

@@ -24,7 +24,6 @@ var wallclockSeams = map[string]bool{
 	"cubefit/internal/clock":     true, // the injectable seam itself
 	"cubefit/internal/metrics":   true, // request latency observation
 	"cubefit/cmd/cubefit-server": true, // operational logging in main
-	"cubefit/cmd/cubefit-load":   true, // measuring real latency is its job
 }
 
 func runWallclock(pass *analysis.Pass) error {

@@ -27,12 +27,16 @@
 // buffered, flushed, and synced once per coalesced batch — before any
 // admission in the batch is acked, and internal/recovery rebuilds the
 // exact acked state from the log on boot.
-// There is one commit path: the placer admits a coalesced batch under the
-// write lock and syncs the single log file before releasing any of its
-// handlers (placeJobs); a departure syncs the same file before its 204.
-// Because every mutation reaches the log in the order it reached the
-// engine, recovery replays one total order. A log error fails the
-// admission path closed (503) rather than acking unlogged placements.
+// There is one log file but two commit paths. The placer admits a
+// coalesced batch under the write lock and syncs the file before
+// releasing any of its handlers (placeJobs). A departure takes the write
+// lock in its own handler, removes the tenant, and syncs the same file
+// before its 204; if that sync fails, the handler re-admits the tenant
+// with Place, which may put it on other hosts, and answers 503. Because
+// every mutation reaches the log in the order it reached the engine,
+// recovery replays one total order. A log error fails the admission path
+// closed (503) rather than acking unlogged placements. ROADMAP.md item 9
+// moves departures onto the placer, leaving one commit path.
 //
 // Observability: every route is instrumented with request counters (by
 // method and status class) and latency histograms, and admissions are

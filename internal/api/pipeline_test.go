@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -31,6 +32,13 @@ func newEngineServer(t *testing.T, opts ...Option) (*httptest.Server, *core.Cube
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveEngine(t, cf, opts...)
+}
+
+// serveEngine serves a controller around cf, closing the HTTP server
+// before draining the controller pipeline at cleanup.
+func serveEngine(t *testing.T, cf *core.CubeFit, opts ...Option) (*httptest.Server, *core.CubeFit, *Controller) {
+	t.Helper()
 	ctrl, err := NewController(cf, workload.DefaultLoadModel(), opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -264,36 +272,146 @@ func TestWALKillRestart(t *testing.T) {
 	}
 }
 
-// TestWALConcurrentTraffic races concurrent admissions and departures
-// against the single commit path, then kills the server and verifies that
-// replaying the log reproduces the acked state: the placer's batches and
-// the departures' syncs must reach the log in the order they reached the
-// engine.
+// TestWALConcurrentTraffic races concurrent single and batch admissions
+// and departures against the placer, kills the server, boots it again
+// from its log as `cubefit-server -wal` does, and races a second round.
+// After each round, replaying the log must reproduce the acked snapshot:
+// the placer's group commits and the departures' syncs must reach the log
+// in the order they reached the engine. And the recovered fleet must be
+// exactly the tenants held at the round's start, plus every acked
+// admission, minus every acked departure.
 func TestWALConcurrentTraffic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.jsonl")
+	live := map[int]bool{} // acked admissions minus acked departures
+	var admits, departs int
+	for round := 0; round < 2; round++ {
+		srv, cf, ctrl := bootFromLog(t, path)
+		if n := cf.Placement().NumTenants(); n != len(live) {
+			t.Fatalf("round %d: booted with %d tenants, want %d", round, n, len(live))
+		}
+		if round == 0 {
+			for i := 0; i < 50; i++ {
+				if code := doJSON(t, "POST", srv.URL+"/v1/tenants",
+					map[string]any{"id": i, "load": 0.05}, nil); code != 201 {
+					t.Fatalf("seed place %d failed", i)
+				}
+				live[i] = true
+				admits++
+			}
+		}
+		// Depart the 50 lowest IDs held at the round's start.
+		held := make([]int, 0, len(live))
+		for id := range live {
+			held = append(held, id)
+		}
+		sort.Ints(held)
+		admitted, departed := walTraffic(t, srv.URL, 1000+10000*round, held[:50])
+		if t.Failed() {
+			return
+		}
+		for _, id := range admitted {
+			live[id] = true
+		}
+		for _, id := range departed {
+			delete(live, id)
+		}
+		admits += len(admitted)
+		departs += len(departed)
+
+		srv.Close()
+		if err := ctrl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ackedSnap := trace.Capture(cf.Placement())
+		rebuilt, rstats, err := recovery.FromFile(path, cf.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rstats.Admitted != admits || rstats.Departed != departs {
+			t.Fatalf("round %d: recovery stats %+v, want %d admitted and %d departed", round, rstats, admits, departs)
+		}
+		if got := trace.Capture(rebuilt.Placement()); !reflect.DeepEqual(got, ackedSnap) {
+			t.Fatalf("round %d: recovered snapshot differs from acked snapshot", round)
+		}
+		p := rebuilt.Placement()
+		if p.NumTenants() != len(live) {
+			t.Fatalf("round %d: recovered %d tenants, want %d", round, p.NumTenants(), len(live))
+		}
+		for id := range live {
+			if _, ok := p.Tenant(packing.TenantID(id)); !ok {
+				t.Fatalf("round %d: acked tenant %d is not in the recovered fleet", round, id)
+			}
+		}
+	}
+}
+
+// bootFromLog boots a controller from the log at path as `cubefit-server
+// -wal` does: recover the engine, cut a torn final record, reopen the log
+// for append, and serve it.
+func bootFromLog(t *testing.T, path string) (*httptest.Server, *core.CubeFit, *Controller) {
+	t.Helper()
+	cf, st, err := recovery.FromFile(path, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.TruncateWAL(path, st.CommittedBytes); err != nil {
+		t.Fatal(err)
+	}
 	wal, err := obs.OpenWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, cf, ctrl := newEngineServer(t, WithWAL(wal))
+	return serveEngine(t, cf, WithWAL(wal))
+}
 
-	for i := 0; i < 50; i++ {
-		if code := doJSON(t, "POST", srv.URL+"/v1/tenants",
-			map[string]any{"id": i, "load": 0.05}, nil); code != 201 {
-			t.Fatalf("seed place %d failed", i)
-		}
+// walTraffic races one round of traffic against the server at url: four
+// clients admit 50 singles each, two clients admit five 16-tenant batches
+// each, and two clients split the given departures. New tenant IDs start
+// at base. It returns the acked admissions and departures.
+func walTraffic(t *testing.T, url string, base int, departures []int) (admitted, departed []int) {
+	var (
+		wg sync.WaitGroup
+		mu sync.Mutex
+	)
+	ack := func(list *[]int, ids ...int) {
+		mu.Lock()
+		*list = append(*list, ids...)
+		mu.Unlock()
 	}
-	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				id := 1000 + g*100 + i
-				if code := doJSON(t, "POST", srv.URL+"/v1/tenants",
-					map[string]any{"id": id, "load": 0.02 + float64(id%7)*0.03}, nil); code != 201 {
-					t.Errorf("concurrent place %d: %d", id, code)
+				id := base + g*100 + i
+				code, err := tryJSON("POST", url+"/v1/tenants",
+					map[string]any{"id": id, "load": 0.02 + float64(id%7)*0.03}, nil)
+				if err != nil || code != 201 {
+					t.Errorf("concurrent place %d: %d %v", id, code, err)
 					return
+				}
+				ack(&admitted, id)
+			}
+		}(g)
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for b := 0; b < 5; b++ {
+				items := make([]map[string]any, 16)
+				for j := range items {
+					id := base + 5000 + g*1000 + b*16 + j
+					items[j] = map[string]any{"id": id, "clients": 1 + id%15}
+				}
+				var resp batchResponse
+				code, err := tryJSON("POST", url+"/v1/tenants:batch", map[string]any{"tenants": items}, &resp)
+				if err != nil || code != 200 || resp.Placed != len(items) {
+					t.Errorf("concurrent batch %d/%d: %d %v %+v", g, b, code, err, resp)
+					return
+				}
+				for _, r := range resp.Results {
+					ack(&admitted, r.ID)
 				}
 			}
 		}(g)
@@ -302,37 +420,19 @@ func TestWALConcurrentTraffic(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := g; i < 50; i += 2 {
-				if code := doDelete(t, srv.URL+"/v1/tenants/"+strconv.Itoa(i)); code != http.StatusNoContent {
-					t.Errorf("concurrent delete %d: %d", i, code)
+			for i := g; i < len(departures); i += 2 {
+				id := departures[i]
+				code, err := tryJSON("DELETE", url+"/v1/tenants/"+strconv.Itoa(id), nil, nil)
+				if err != nil || code != http.StatusNoContent {
+					t.Errorf("concurrent delete %d: %d %v", id, code, err)
 					return
 				}
+				ack(&departed, id)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	if n := cf.Placement().NumTenants(); n != 200 {
-		t.Fatalf("tenants = %d, want 200", n)
-	}
-	ackedSnap := trace.Capture(cf.Placement())
-
-	srv.Close()
-	if err := ctrl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rebuilt, rstats, err := recovery.FromFile(path, cf.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rstats.Admitted != 250 || rstats.Departed != 50 {
-		t.Fatalf("recovery stats %+v", rstats)
-	}
-	if got := trace.Capture(rebuilt.Placement()); !reflect.DeepEqual(got, ackedSnap) {
-		t.Fatal("recovered snapshot differs from acked snapshot")
-	}
+	return admitted, departed
 }
 
 func doDelete(t *testing.T, url string) int {

@@ -128,6 +128,8 @@ func parityK(gamma int) int {
 // identical Stats at γ ∈ {2, 3, 4}. Two inputs: continuous random sizes
 // spanning every class, and the service's shape — uniform(1..15) clients
 // through the default load model, a few thousand tenants, 20% departures.
+// The prune arm repeats the first input with PruneSlack 0.05, so bins
+// retire and reactivate under both first stages.
 func TestFirstStageIndexParity(t *testing.T) {
 	for _, gamma := range []int{2, 3, 4} {
 		gamma := gamma
@@ -145,6 +147,16 @@ func TestFirstStageIndexParity(t *testing.T) {
 				indexed, reference := parityPair(t, cfg)
 				got := runParity(t, indexed, seed, 3000, 0.2, serviceTenant, nil)
 				want := runParity(t, reference, seed, 3000, 0.2, serviceTenant, nil)
+				assertParity(t, seed, indexed, reference, got, want)
+			}
+		})
+		t.Run(fmt.Sprintf("prune/gamma%d", gamma), func(t *testing.T) {
+			pruned := cfg
+			pruned.PruneSlack = 0.05
+			for seed := uint64(1); seed <= 8; seed++ {
+				indexed, reference := parityPair(t, pruned)
+				got := parityWorkload(t, indexed, seed, 300)
+				want := parityWorkload(t, reference, seed, 300)
 				assertParity(t, seed, indexed, reference, got, want)
 			}
 		})

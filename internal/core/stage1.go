@@ -187,24 +187,20 @@ func (cf *CubeFit) firstMFit(n int32, t packing.Tenant, rep packing.Replica, ear
 // bestMFitScan is the reference implementation: a linear scan over all
 // active mature bins. Kept for differential testing (the parity property
 // test drives both engines over identical workloads) and as the executable
-// specification of the Best Fit tie-break.
+// specification of the Best Fit tie-break. It skips the tenant's hosts
+// before it reads a bin, as firstMFit does: only their cached reserves are
+// stale during an admission, and refreshBin has retired every other bin
+// whose slack is at or below PruneSlack.
 //
 //cubefit:hotpath
 func (cf *CubeFit) bestMFitScan(t packing.Tenant, rep packing.Replica) (best *bin, probed int) {
 	earlier := cf.placedHosts(t.ID)
 	bestLevel := -1.0
-	for i := 0; i < len(cf.active); i++ {
-		b := cf.active[i]
-		srv := cf.p.Server(b.server)
-		slack := 1 - srv.Level() - b.reserve
-		if packing.FitsWithin(slack, cf.cfg.PruneSlack) {
-			// Permanently retire bins with no usable slack; the scan index
-			// stays put because removeActive swaps the last element in.
-			cf.removeActive(b)
-			cf.retireBin(b)
-			i--
+	for _, b := range cf.active {
+		if hostsTenant(earlier, b.server) {
 			continue
 		}
+		srv := cf.p.Server(b.server)
 		// Best Fit: maximize level; break ties on the lower server ID so
 		// the choice does not depend on active-list scan order.
 		if srv.Level() < bestLevel ||
@@ -212,11 +208,8 @@ func (cf *CubeFit) bestMFitScan(t packing.Tenant, rep packing.Replica) (best *bi
 			(srv.Level() == bestLevel && best != nil && b.server > best.server) {
 			continue
 		}
-		if !packing.FitsWithin(rep.Size, slack) {
+		if !packing.FitsWithin(rep.Size, 1-srv.Level()-b.reserve) {
 			continue // necessary condition: new reserve only grows
-		}
-		if hostsTenant(earlier, b.server) {
-			continue
 		}
 		probed++
 		if cf.mFits(srv, earlier, rep) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -88,45 +89,51 @@ func TestFirstStageRollback(t *testing.T) {
 }
 
 // TestFirstStageFallbackRefreshesOnce pins the first stage's deferred
-// refresh on a fallback: placing replica 0 would retire its Best-Fit bin
-// (PruneSlack 0.05), and replica 1 then finds no bin. The bin is refreshed
-// once, after the unplace, so the admission emits no bin_retire or
-// bin_reactivate, and the bin stays active under its key.
+// refresh on a fallback, on the index and on the reference scan: placing
+// replica 0 would retire its Best-Fit bin (PruneSlack 0.05), and replica 1
+// then finds no bin. The bin is refreshed once, after the unplace, so the
+// admission emits no bin_retire or bin_reactivate, and the bin stays
+// active under its key.
 func TestFirstStageFallbackRefreshesOnce(t *testing.T) {
-	cf := mustCubeFit(t, Config{Gamma: 2, K: 10, PruneSlack: 0.05})
-	// As in TestFirstStageRollback: two class-1 bins at level 0.35,
-	// reserve 0.35 and slack 0.30. Replica 0 of a 0.5 tenant m-fits bin 0
-	// and would leave it slack 1 − 0.6 − 0.35 = 0.05; replica 1 cannot go
-	// to bin 1 (0.6 level plus 0.6 shared).
-	placeAll(t, cf, []packing.Tenant{{ID: 1, Load: 0.7}})
-	if cf.NumActiveMatureBins() != 2 {
-		t.Fatalf("active mature bins = %d, want 2", cf.NumActiveMatureBins())
-	}
-	srv := cf.Placement().Server(0)
-	if !packing.FitsWithin(1-(srv.Level()+0.25)-srv.TopShared(1), cf.cfg.PruneSlack) {
-		t.Fatal("replica 0 would not retire bin 0: the test no longer reaches the case it pins")
-	}
-	rec := &recorded{}
-	cf.SetRecorder(rec)
-	placeAll(t, cf, []packing.Tenant{{ID: 2, Load: 0.5}})
+	for _, scan := range []bool{false, true} {
+		t.Run(fmt.Sprintf("scan=%v", scan), func(t *testing.T) {
+			cf := mustCubeFit(t, Config{Gamma: 2, K: 10, PruneSlack: 0.05})
+			cf.scanFirstStage = scan
+			// As in TestFirstStageRollback: two class-1 bins at level 0.35,
+			// reserve 0.35 and slack 0.30. Replica 0 of a 0.5 tenant m-fits
+			// bin 0 and would leave it slack 1 − 0.6 − 0.35 = 0.05; replica 1
+			// cannot go to bin 1 (0.6 level plus 0.6 shared).
+			placeAll(t, cf, []packing.Tenant{{ID: 1, Load: 0.7}})
+			if cf.NumActiveMatureBins() != 2 {
+				t.Fatalf("active mature bins = %d, want 2", cf.NumActiveMatureBins())
+			}
+			srv := cf.Placement().Server(0)
+			if !packing.FitsWithin(1-(srv.Level()+0.25)-srv.TopShared(1), cf.cfg.PruneSlack) {
+				t.Fatal("replica 0 would not retire bin 0: the test no longer reaches the case it pins")
+			}
+			rec := &recorded{}
+			cf.SetRecorder(rec)
+			placeAll(t, cf, []packing.Tenant{{ID: 2, Load: 0.5}})
 
-	places, rollbacks := rec.byKind(obs.KindStage1Place), rec.byKind(obs.KindRollback)
-	if len(places) != 1 || places[0].Server != 0 || len(rollbacks) != 1 {
-		t.Fatalf("want replica 0 placed on bin 0 and one fallback; got stage1_place %+v, %d rollbacks", places, len(rollbacks))
+			places, rollbacks := rec.byKind(obs.KindStage1Place), rec.byKind(obs.KindRollback)
+			if len(places) != 1 || places[0].Server != 0 || len(rollbacks) != 1 {
+				t.Fatalf("want replica 0 placed on bin 0 and one fallback; got stage1_place %+v, %d rollbacks", places, len(rollbacks))
+			}
+			for _, k := range []obs.Kind{obs.KindBinRetire, obs.KindBinReactivate} {
+				if n := len(rec.byKind(k)); n != 0 {
+					t.Errorf("the fallback emitted %d %s events", n, k)
+				}
+			}
+			if cf.bins[0].activeIdx < 0 {
+				t.Fatal("bin 0 left the active list")
+			}
+			if key, level := cf.index.nodes[0].key, cf.Placement().Server(0).Level(); key != level {
+				t.Fatalf("bin 0 filed under %v, server level %v", key, level)
+			}
+			checkFitIndex(t, cf)
+			checkBinCaches(t, cf)
+		})
 	}
-	for _, k := range []obs.Kind{obs.KindBinRetire, obs.KindBinReactivate} {
-		if n := len(rec.byKind(k)); n != 0 {
-			t.Errorf("the fallback emitted %d %s events", n, k)
-		}
-	}
-	if cf.bins[0].activeIdx < 0 {
-		t.Fatal("bin 0 left the active list")
-	}
-	if key, level := cf.index.nodes[0].key, cf.Placement().Server(0).Level(); key != level {
-		t.Fatalf("bin 0 filed under %v, server level %v", key, level)
-	}
-	checkFitIndex(t, cf)
-	checkBinCaches(t, cf)
 }
 
 // TestFirstStagePartialFit: when only some replicas m-fit, none may stay.

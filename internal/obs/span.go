@@ -18,8 +18,11 @@ import "sync"
 //	                                      wait + the engine's Place call;
 //	                                      EngineNs isolates the latter)
 //	wal    PlaceEndNs    → CommitStartNs  batch tail work before the group
-//	                                      commit: remaining items, snapshot
-//	                                      invalidation, headroom refresh
+//	                                      commit: the batch's later items,
+//	                                      then the mutation's delivery
+//	                                      (log encode, re-audit of the
+//	                                      touched servers, event ring and
+//	                                      engine metrics)
 //	fsync  CommitStartNs → CommitEndNs    the WAL group commit (flush+fsync)
 //	ack    CommitEndNs   → AckNs          future hand-off back to the
 //	                                      waiting handler
@@ -88,8 +91,10 @@ func (s *Span) PlaceNs() int64 { return s.PlaceEndNs - s.DequeueNs }
 func (s *Span) EngineNs() int64 { return s.PlaceEndNs - s.PlaceStartNs }
 
 // WalNs is the batch tail between this item's placement and the group
-// commit starting: later items of the batch, snapshot invalidation, and
-// the headroom refresh.
+// commit starting: the batch's later items, then the delivery of the
+// mutation's events (the controller's mutatedLocked): the log's encode,
+// the re-audit of the servers it touched, the event ring and the engine
+// metrics.
 func (s *Span) WalNs() int64 { return s.CommitStartNs - s.PlaceEndNs }
 
 // FsyncNs is the WAL group commit (flush + fsync) the span waited on.
