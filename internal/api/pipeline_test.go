@@ -273,74 +273,79 @@ func TestWALKillRestart(t *testing.T) {
 }
 
 // TestWALConcurrentTraffic races concurrent single and batch admissions
-// and departures against the placer, kills the server, boots it again
-// from its log as `cubefit-server -wal` does, and races a second round.
-// After each round, replaying the log must reproduce the acked snapshot:
-// the placer's group commits and the departures' syncs must reach the log
-// in the order they reached the engine. And the recovered fleet must be
-// exactly the tenants held at the round's start, plus every acked
-// admission, minus every acked departure.
+// and departures against the placer and kills the server (subtest boot),
+// then boots it again from the same log as `cubefit-server -wal` does and
+// races a second round (subtest reboot). After each round, replaying the
+// log must reproduce the acked snapshot: the placer's group commits and
+// the departures' syncs must reach the log in the order they reached the
+// engine. And the recovered fleet must be exactly the tenants held at the
+// round's start, plus every acked admission, minus every acked departure.
 func TestWALConcurrentTraffic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.jsonl")
 	live := map[int]bool{} // acked admissions minus acked departures
 	var admits, departs int
-	for round := 0; round < 2; round++ {
-		srv, cf, ctrl := bootFromLog(t, path)
-		if n := cf.Placement().NumTenants(); n != len(live) {
-			t.Fatalf("round %d: booted with %d tenants, want %d", round, n, len(live))
-		}
-		if round == 0 {
-			for i := 0; i < 50; i++ {
-				if code := doJSON(t, "POST", srv.URL+"/v1/tenants",
-					map[string]any{"id": i, "load": 0.05}, nil); code != 201 {
-					t.Fatalf("seed place %d failed", i)
+	for round, name := range []string{"boot", "reboot"} {
+		ok := t.Run(name, func(t *testing.T) {
+			srv, cf, ctrl := bootFromLog(t, path)
+			if n := cf.Placement().NumTenants(); n != len(live) {
+				t.Fatalf("round %d: booted with %d tenants, want %d", round, n, len(live))
+			}
+			if round == 0 {
+				for i := 0; i < 50; i++ {
+					if code := doJSON(t, "POST", srv.URL+"/v1/tenants",
+						map[string]any{"id": i, "load": 0.05}, nil); code != 201 {
+						t.Fatalf("seed place %d failed", i)
+					}
+					live[i] = true
+					admits++
 				}
-				live[i] = true
-				admits++
 			}
-		}
-		// Depart the 50 lowest IDs held at the round's start.
-		held := make([]int, 0, len(live))
-		for id := range live {
-			held = append(held, id)
-		}
-		sort.Ints(held)
-		admitted, departed := walTraffic(t, srv.URL, 1000+10000*round, held[:50])
-		if t.Failed() {
-			return
-		}
-		for _, id := range admitted {
-			live[id] = true
-		}
-		for _, id := range departed {
-			delete(live, id)
-		}
-		admits += len(admitted)
-		departs += len(departed)
+			// Depart the 50 lowest IDs held at the round's start.
+			held := make([]int, 0, len(live))
+			for id := range live {
+				held = append(held, id)
+			}
+			sort.Ints(held)
+			admitted, departed := walTraffic(t, srv.URL, 1000+10000*round, held[:50])
+			if t.Failed() {
+				return
+			}
+			for _, id := range admitted {
+				live[id] = true
+			}
+			for _, id := range departed {
+				delete(live, id)
+			}
+			admits += len(admitted)
+			departs += len(departed)
 
-		srv.Close()
-		if err := ctrl.Close(); err != nil {
-			t.Fatal(err)
-		}
-		ackedSnap := trace.Capture(cf.Placement())
-		rebuilt, rstats, err := recovery.FromFile(path, cf.Config())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rstats.Admitted != admits || rstats.Departed != departs {
-			t.Fatalf("round %d: recovery stats %+v, want %d admitted and %d departed", round, rstats, admits, departs)
-		}
-		if got := trace.Capture(rebuilt.Placement()); !reflect.DeepEqual(got, ackedSnap) {
-			t.Fatalf("round %d: recovered snapshot differs from acked snapshot", round)
-		}
-		p := rebuilt.Placement()
-		if p.NumTenants() != len(live) {
-			t.Fatalf("round %d: recovered %d tenants, want %d", round, p.NumTenants(), len(live))
-		}
-		for id := range live {
-			if _, ok := p.Tenant(packing.TenantID(id)); !ok {
-				t.Fatalf("round %d: acked tenant %d is not in the recovered fleet", round, id)
+			srv.Close()
+			if err := ctrl.Close(); err != nil {
+				t.Fatal(err)
 			}
+			ackedSnap := trace.Capture(cf.Placement())
+			rebuilt, rstats, err := recovery.FromFile(path, cf.Config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rstats.Admitted != admits || rstats.Departed != departs {
+				t.Fatalf("round %d: recovery stats %+v, want %d admitted and %d departed", round, rstats, admits, departs)
+			}
+			if got := trace.Capture(rebuilt.Placement()); !reflect.DeepEqual(got, ackedSnap) {
+				t.Fatalf("round %d: recovered snapshot differs from acked snapshot", round)
+			}
+			p := rebuilt.Placement()
+			if p.NumTenants() != len(live) {
+				t.Fatalf("round %d: recovered %d tenants, want %d", round, p.NumTenants(), len(live))
+			}
+			for id := range live {
+				if _, ok := p.Tenant(packing.TenantID(id)); !ok {
+					t.Fatalf("round %d: acked tenant %d is not in the recovered fleet", round, id)
+				}
+			}
+		})
+		if !ok {
+			return
 		}
 	}
 }
