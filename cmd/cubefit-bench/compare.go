@@ -6,8 +6,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
+
+	"cubefit/internal/stats"
 )
 
 // ErrRegression is returned by the compare mode when at least one tracked
@@ -27,8 +28,8 @@ const defaultThreshold = 0.20
 
 // runCompare implements `cubefit-bench -compare old.json new.json
 // [-threshold f]`: it diffs two JSON reports produced by this tool and
-// prints a per-benchmark table of the tracked metrics. It returns
-// ErrRegression when any metric grew by more than threshold.
+// prints a per-benchmark table of the tracked metrics' medians. It returns
+// ErrRegression when any median grew by more than threshold.
 func runCompare(args []string, stdout io.Writer) error {
 	threshold := defaultThreshold
 	var paths []string
@@ -77,31 +78,31 @@ func loadReport(path string) (Report, error) {
 	return rep, nil
 }
 
-// compare prints the metric diff of every benchmark present in both
-// reports (in the new report's order) and returns the regression count.
+// compare prints the diff of the medians of every benchmark present in
+// both reports, one row per benchmark and tracked unit (in the new
+// report's order), and returns the regression count. A median is taken
+// over all the repetitions a report holds of one benchmark name.
 // Benchmarks present in only one report are listed but never counted as
 // regressions — adding or retiring a benchmark is not a slowdown.
 func compare(w io.Writer, oldRep, newRep Report, threshold float64) int {
-	oldBy := make(map[string]Benchmark, len(oldRep.Benchmarks))
-	for _, b := range oldRep.Benchmarks {
-		oldBy[b.Name] = b
-	}
+	oldNames, oldBy := samples(oldRep)
+	newNames, newBy := samples(newRep)
 	fmt.Fprintf(w, "%-52s %-10s %14s %14s %8s\n", "benchmark", "unit", "old", "new", "delta")
 	regressions := 0
-	seen := make(map[string]bool, len(newRep.Benchmarks))
-	for _, nb := range newRep.Benchmarks {
-		seen[nb.Name] = true
-		ob, ok := oldBy[nb.Name]
+	for _, name := range newNames {
+		om, ok := oldBy[name]
 		if !ok {
-			fmt.Fprintf(w, "%-52s %-10s %14s %14s %8s\n", nb.Name, "-", "(absent)", "", "new")
+			fmt.Fprintf(w, "%-52s %-10s %14s %14s %8s\n", name, "-", "(absent)", "", "new")
 			continue
 		}
 		for _, unit := range comparedUnits {
-			nv, nok := nb.Metrics[unit]
-			ov, ook := ob.Metrics[unit]
+			nvs, nok := newBy[name][unit]
+			ovs, ook := om[unit]
 			if !nok || !ook {
 				continue
 			}
+			nv, _ := stats.PercentileInPlace(nvs, 50)
+			ov, _ := stats.PercentileInPlace(ovs, 50)
 			status := ""
 			var delta float64
 			if ov != 0 {
@@ -117,18 +118,30 @@ func compare(w io.Writer, oldRep, newRep Report, threshold float64) int {
 				status = "  improved"
 			}
 			fmt.Fprintf(w, "%-52s %-10s %14.4g %14.4g %+7.1f%%%s\n",
-				nb.Name, unit, ov, nv, delta*100, status)
+				name, unit, ov, nv, delta*100, status)
 		}
 	}
-	var removed []string
-	for name := range oldBy {
-		if !seen[name] {
-			removed = append(removed, name)
+	for _, name := range oldNames {
+		if _, ok := newBy[name]; !ok {
+			fmt.Fprintf(w, "%-52s %-10s %14s %14s %8s\n", name, "-", "", "(absent)", "removed")
 		}
-	}
-	sort.Strings(removed)
-	for _, name := range removed {
-		fmt.Fprintf(w, "%-52s %-10s %14s %14s %8s\n", name, "-", "", "(absent)", "removed")
 	}
 	return regressions
+}
+
+// samples returns a report's benchmark names in order of first appearance
+// and, by name, each unit's values over the name's repetitions.
+func samples(rep Report) ([]string, map[string]map[string][]float64) {
+	var names []string
+	by := map[string]map[string][]float64{}
+	for _, b := range rep.Benchmarks {
+		if by[b.Name] == nil {
+			names = append(names, b.Name)
+			by[b.Name] = map[string][]float64{}
+		}
+		for unit, v := range b.Metrics {
+			by[b.Name][unit] = append(by[b.Name][unit], v)
+		}
+	}
+	return names, by
 }

@@ -128,3 +128,75 @@ func TestCompareUsageErrors(t *testing.T) {
 		t.Errorf("missing file: err = %v, want non-regression error", err)
 	}
 }
+
+// ledger returns a report of two benchmarks from two packages, each
+// repeated five times with spread, as `go test -count 5` writes them in
+// turn; scale multiplies BenchmarkB's ns/op in every repetition.
+func ledger(scale float64) Report {
+	var rep Report
+	for i := 0; i < 5; i++ {
+		spread := float64(i%3) * 0.3 // up to +60% between repetitions
+		a := bench("BenchmarkA", 1000*(1+spread), 512, 10)
+		a.Pkg = "cubefit/internal/core"
+		rep.Benchmarks = append(rep.Benchmarks, a)
+	}
+	for i := 0; i < 5; i++ {
+		b := bench("BenchmarkB", scale*2000*(1+float64((i+1)%3)*0.3), 64, 1)
+		b.Pkg = "cubefit/internal/api"
+		rep.Benchmarks = append(rep.Benchmarks, b)
+	}
+	return rep
+}
+
+// TestCompareRepetitionsWithItself compares a ledger of five repetitions
+// per benchmark with itself: the medians are equal, so no row regresses.
+func TestCompareRepetitionsWithItself(t *testing.T) {
+	dir := t.TempDir()
+	path := writeReport(t, dir, "perf.json", ledger(1))
+	var out bytes.Buffer
+	if err := run([]string{"-compare", path, path}, nil, &out); err != nil {
+		t.Fatalf("a ledger compared with itself: %v\n%s", err, out.String())
+	}
+	if strings.Contains(out.String(), "REGRESSION") {
+		t.Errorf("a ledger compared with itself printed a regression:\n%s", out.String())
+	}
+	// One header and one row per benchmark and unit.
+	if rows := strings.Count(out.String(), "\n"); rows != 1+2*len(comparedUnits) {
+		t.Errorf("%d lines, want %d:\n%s", rows, 1+2*len(comparedUnits), out.String())
+	}
+}
+
+// TestCompareReportsTheSlowerBenchmark multiplies one benchmark's ns/op by
+// 1.5 in every repetition: exactly that row regresses, by 50%.
+func TestCompareReportsTheSlowerBenchmark(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := writeReport(t, dir, "old.json", ledger(1))
+	newPath := writeReport(t, dir, "new.json", ledger(1.5))
+	var out bytes.Buffer
+	if err := run([]string{"-compare", oldPath, newPath}, nil, &out); !errors.Is(err, ErrRegression) {
+		t.Fatalf("err = %v, want ErrRegression\n%s", err, out.String())
+	}
+	var regressed []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.Contains(line, "REGRESSION") {
+			regressed = append(regressed, strings.Join(strings.Fields(line), " "))
+		}
+	}
+	if want := "BenchmarkB ns/op 2600 3900 +50.0% REGRESSION"; len(regressed) != 1 || regressed[0] != want {
+		t.Errorf("regressed rows %q, want [%q]\n%s", regressed, want, out.String())
+	}
+}
+
+// TestParseRecordsPackagePerRow parses a ledger of two packages' runs:
+// each row names its own package.
+func TestParseRecordsPackagePerRow(t *testing.T) {
+	in := "pkg: cubefit/internal/core\nBenchmarkA-2 10 100 ns/op\n" +
+		"pkg: cubefit/internal/api\nBenchmarkB-2 10 200 ns/op\n"
+	rep, err := Parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 2 || rep.Benchmarks[0].Pkg != "cubefit/internal/core" || rep.Benchmarks[1].Pkg != "cubefit/internal/api" {
+		t.Errorf("rows = %+v, want BenchmarkA in internal/core and BenchmarkB in internal/api", rep.Benchmarks)
+	}
+}

@@ -16,11 +16,12 @@
 // their slashes; the trailing -N GOMAXPROCS suffix is split out.
 //
 // The -compare mode diffs two JSON reports previously produced by this
-// tool and prints a per-benchmark table of ns/op, B/op, and allocs/op
-// with relative deltas. Exit codes: 0 when no tracked metric regressed
-// beyond the threshold (default 0.20 = +20%), 1 on usage or I/O errors,
-// 2 when at least one metric regressed — so CI can gate on slowdowns
-// while treating noise within the threshold as a pass.
+// tool: the median over each benchmark's repetitions (-count), one row
+// per benchmark and unit of ns/op, B/op, and allocs/op. Exit codes: 0
+// when no median regressed beyond the threshold (default 0.20 = +20%), 1
+// on usage or I/O errors, 2 when at least one median regressed — so CI
+// can gate on slowdowns while treating noise within the threshold as a
+// pass.
 package main
 
 import (
@@ -49,7 +50,6 @@ func main() {
 type Report struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
@@ -59,6 +59,8 @@ type Benchmark struct {
 	// Name is the benchmark name without the -N GOMAXPROCS suffix,
 	// e.g. "BenchmarkPlaceCubeFit" or "BenchmarkAblationClasses/k=10".
 	Name string `json:"name"`
+	// Pkg is the package the line ran in: the last pkg: header before it.
+	Pkg string `json:"pkg,omitempty"`
 	// Procs is the GOMAXPROCS the benchmark ran with (0 if absent).
 	Procs int `json:"procs,omitempty"`
 	// Iterations is b.N.
@@ -121,6 +123,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 // output) are ignored, so the raw `go test` stream can be piped directly.
 func Parse(r io.Reader) (Report, error) {
 	var rep Report
+	var pkg string
 	rep.Benchmarks = []Benchmark{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -132,11 +135,12 @@ func Parse(r io.Reader) (Report, error) {
 		case strings.HasPrefix(line, "goarch: "):
 			rep.Goarch = strings.TrimPrefix(line, "goarch: ")
 		case strings.HasPrefix(line, "pkg: "):
-			rep.Pkg = strings.TrimPrefix(line, "pkg: ")
+			pkg = strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "cpu: "):
 			rep.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "Benchmark"):
 			if b, ok := parseLine(line); ok {
+				b.Pkg = pkg
 				rep.Benchmarks = append(rep.Benchmarks, b)
 			}
 		}

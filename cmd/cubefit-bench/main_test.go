@@ -24,14 +24,20 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Goos != "linux" || rep.Goarch != "amd64" || rep.Pkg != "cubefit" {
-		t.Errorf("header = %q/%q/%q, want linux/amd64/cubefit", rep.Goos, rep.Goarch, rep.Pkg)
+	if rep.Goos != "linux" || rep.Goarch != "amd64" {
+		t.Errorf("header = %q/%q, want linux/amd64", rep.Goos, rep.Goarch)
 	}
 	if rep.CPU != "AMD EPYC 7B13" {
 		t.Errorf("cpu = %q", rep.CPU)
 	}
 	if len(rep.Benchmarks) != 3 {
 		t.Fatalf("got %d benchmarks, want 3", len(rep.Benchmarks))
+	}
+
+	for _, b := range rep.Benchmarks {
+		if b.Pkg != "cubefit" {
+			t.Errorf("%s: pkg = %q, want cubefit", b.Name, b.Pkg)
+		}
 	}
 
 	b := rep.Benchmarks[0]

@@ -65,24 +65,23 @@
 // JSONL for offline replay with `cubefit-inspect health`.
 //
 // Durability: with -wal the server keeps a write-ahead operation log, one
-// append-only file: after a format header,
-// one record per admission (tenant, load, clients, the host of each
-// replica), rejected admission or departure. At boot the server replays
-// the log into a fresh engine (recovery.FromFile), checks every replayed
-// admission against its logged hosts and the rebuilt placement against
-// the robustness validator, truncates a torn final record, and refuses to
-// serve from a log that does not replay cleanly or is not in this format
-// (logs of the decision-event format of earlier releases are refused;
-// there is no migration). It also refuses to boot while segment files of
-// the retired sharded log format (<path>.seg0, <path>.seg1, …) sit beside
-// the log: their history would otherwise be silently ignored. Each
-// coalesced admission batch is group-committed (flushed and fsynced) by
-// the placer before it is acked; each departure syncs the same file from
-// its own handler before its 204. If the log cannot commit, mutations
-// fail closed with 503; a departure whose sync failed re-admits its
-// tenant first, possibly on other hosts (ROADMAP.md item 9 gives
-// departures the placer's commit path). The decision stream itself is
-// not logged: it stays available at GET /debug/events.
+// append-only file: after a format header, one record per admission
+// (tenant, load, clients, the host of each replica), rejected admission or
+// departure. At boot the server replays the log into a fresh engine
+// (recovery.FromFile), checks every replayed admission against its logged
+// hosts and the rebuilt placement against the robustness validator,
+// truncates a torn final record, and refuses to serve from a log that does
+// not replay cleanly or is not in this format (logs of the decision-event
+// format of earlier releases are refused; there is no migration). It also
+// refuses to boot while segment files of the retired sharded log format
+// (<path>.seg0, <path>.seg1, …) sit beside the log: their history would
+// otherwise be silently ignored. There is one commit path: the admission
+// pipeline's placer group-commits (flushes and fsyncs) every coalesced
+// group of admissions and departures before it acks any of them, and
+// applies a departure only after its commit. If the log cannot commit,
+// mutations fail closed with 503, and a departure answered 503 leaves its
+// tenant where it was. The decision stream itself is not logged: it stays
+// available at GET /debug/events.
 //
 // On SIGINT/SIGTERM the server marks itself draining (GET /readyz flips
 // to 503 so load balancers stop routing new traffic), stops accepting new

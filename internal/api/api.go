@@ -6,62 +6,54 @@
 //
 // Concurrency: the controller guards the algorithm with a sync.RWMutex.
 // Read-only endpoints (stats, servers, placement, validate, tenant lookup)
-// take the read lock and run concurrently; admissions flow through a
-// batched pipeline (see pipeline.go): every request — POST /v1/tenants and
-// POST /v1/tenants:batch alike — enqueues a job resolved by one placer
-// goroutine that coalesces waiting jobs into a single write-lock
-// acquisition, preserving exact serial placement order while amortizing
-// lock traffic and snapshot invalidation across the batch. The placement
-// snapshot served by GET /v1/placement is cached between mutations so hot
-// readers do not rebuild it per request, and exhaustive analyses (drills,
-// repack plans) run on a lock-free clone of it. Fleet-wide reads still
-// stall admissions, though: any mutation drops the cache, and the next
-// reader captures a fresh snapshot under the write lock (trace.Capture
-// took 188 ms at 250k tenants on a 2-vCPU host). A /v1/placement poller
-// every 50 ms raised the slowest admission there from 10.7 ms to 295 ms.
-// ROADMAP.md item 8 takes these reads off the controller lock.
+// take the read lock and run concurrently. Every mutation — POST
+// /v1/tenants, POST /v1/tenants:batch and DELETE /v1/tenants/{id} —
+// enqueues a job for one placer goroutine (pipeline.go), which coalesces
+// waiting jobs into one write-lock acquisition, preserving exact serial
+// order while amortizing lock traffic and snapshot invalidation. The
+// snapshot served by GET /v1/placement is cached between mutations, and
+// exhaustive analyses (drills, repack plans) run on a lock-free clone of
+// it. Fleet-wide reads still stall admissions, though: any mutation drops
+// the cache, and the next reader captures a fresh snapshot under the
+// write lock (trace.Capture took 188 ms at 250k tenants on a 2-vCPU
+// host). A /v1/placement poller every 50 ms raised the slowest admission
+// there from 10.7 ms to 295 ms. ROADMAP.md item 8 takes these reads off
+// the controller lock.
 //
-// Durability: with a write-ahead log attached (WithWAL), the log records
-// every operation the decision event stream closes — one record per
-// admission, rejected admission or departure — and is group-committed —
-// buffered, flushed, and synced once per coalesced batch — before any
-// admission in the batch is acked, and internal/recovery rebuilds the
-// exact acked state from the log on boot.
-// There is one log file but two commit paths. The placer admits a
-// coalesced batch under the write lock and syncs the file before
-// releasing any of its handlers (placeJobs). A departure takes the write
-// lock in its own handler, removes the tenant, and syncs the same file
-// before its 204; if that sync fails, the handler re-admits the tenant
-// with Place, which may put it on other hosts, and answers 503. Because
-// every mutation reaches the log in the order it reached the engine,
-// recovery replays one total order. A log error fails the admission path
-// closed (503) rather than acking unlogged placements. ROADMAP.md item 9
-// moves departures onto the placer, leaving one commit path.
+// Durability: with a write-ahead log attached (WithWAL), the log holds one
+// record per admission, rejected admission or departure, and is
+// group-committed (flushed and synced once per group) before any mutation
+// in the group is acked; internal/recovery rebuilds the exact acked state
+// from it on boot. There is one commit path: the placer is the only code
+// that mutates the engine or syncs the log (placeJobs). An admission
+// reaches the engine before the log, which records the decisions it made;
+// a departure needs no decision, so it is logged and synced before it is
+// applied. Every mutation reaches the log in the order it reached the
+// engine, so recovery replays one total order. A log error fails
+// mutations closed (503) and leaves the engine as clients were told: a
+// departure answered 503 leaves its tenant where it was.
 //
-// Observability: every route is instrumented with request counters (by
-// method and status class) and latency histograms, and admissions are
-// counted by outcome (first_stage / regular / tiny / placed / rejected)
-// when the wrapped algorithm reports its admission path. GET /metrics
-// serves the Prometheus text exposition. The algorithm must support the
-// decision flight recorder (internal/obs), as every engine in the
-// repository does; the controller attaches a per-mutation buffer whose
-// events it delivers once, when the mutation completes (mutatedLocked).
-// The last events stay inspectable at GET /debug/events, each carrying
-// the time of its mutation; GET /explain/tenants/{id} reconstructs a
-// tenant's decision path with its failover attribution; and the same
-// events feed the per-kind event counter and the engine gauges on
-// /metrics. Admission
-// latency comes from the pipeline spans' place stage. The servers each
-// mutation touched drive an incremental robustness headroom auditor
-// (internal/headroom): GET /debug/headroom reports every server's
-// worst-case failover slack and arg-max failure set, GET
-// /debug/headroom/servers/{id} drills one server down to the tenants
-// contributing its worst set, and the
+// Observability: every route has request counters (by method and status
+// class) and latency histograms, admissions are counted by outcome
+// (first_stage / regular / tiny / placed / rejected) when the algorithm
+// reports its admission path, and GET /metrics serves the Prometheus text
+// exposition. The algorithm must record its decisions (internal/obs), as
+// every engine in the repository does; the controller buffers each
+// mutation's events and delivers them once, when it completes
+// (mutatedLocked), to the ring behind GET /debug/events (each event
+// carries its mutation's time) and GET /explain/tenants/{id} (a tenant's
+// decision path with its failover attribution), and to the per-kind event
+// counter and the engine gauges. Admission latency comes from the
+// pipeline spans' place stage. The servers each mutation touched drive an
+// incremental robustness headroom auditor (internal/headroom): GET
+// /debug/headroom reports every server's worst-case failover slack and
+// arg-max failure set, GET /debug/headroom/servers/{id} drills one server
+// down to the tenants contributing its worst set, and the
 // cubefit_headroom_* gauges track the minimum and median slack, the
-// red-lined server count, and overload-on-failure transitions. A
-// mutation only re-audits the servers it touched; those gauges, like the
-// process and WAL gauges, are computed when read — by the telemetry
-// sampler's tick and by GET /metrics — without the controller lock.
+// red-lined server count, and overload-on-failure transitions. Those
+// gauges, like the process and WAL gauges, are computed when read — by
+// the telemetry sampler's tick and by GET /metrics — without the
+// controller lock.
 //
 // Error contract: 400 for malformed or invalid requests (bad JSON, load
 // outside (0,1], negative clients/failures, missing load and clients),
@@ -177,9 +169,9 @@ type Controller struct {
 	procM   *metrics.ProcessMetrics
 
 	// wal, when attached, receives every decision event through Record
-	// (mutatedLocked) and is group-committed by the placer before
-	// admissions are acked; a WAL error fails the admission path closed
-	// (see placeJobs).
+	// (mutatedLocked) and each departure before it is applied, and is
+	// group-committed by the placer before mutations are acked; a WAL
+	// error fails mutations closed (see commitGroup).
 	wal obs.CommitLog
 	// Admission pipeline (see pipeline.go): queue feeds the single placer
 	// goroutine, sendMu+closed gate producers during shutdown, placerDone
@@ -198,12 +190,12 @@ type Option func(*Controller)
 // mutation's events reach its Record, in engine order, before the group
 // commit. *obs.WAL keeps one record per operation the stream closes
 // (admission, rejected admission, departure), group-committed before
-// admissions are acked, and a log error disables the admission path
-// (fail closed) instead of dropping operations. The rest of the stream
-// stays in the event ring behind GET /debug/events. Requires an algorithm
-// that implements Remover, so a failed commit can be rolled back. The
-// controller takes ownership: Close performs the final commit and closes
-// the log.
+// mutations are acked, and a log error disables mutations (fail closed)
+// instead of dropping operations. The rest of the stream stays in the
+// event ring behind GET /debug/events. Requires an algorithm that
+// implements Remover, so a failed commit's admissions can be rolled back.
+// The controller takes ownership: Close performs the final commit and
+// closes the log.
 func WithWAL(w obs.CommitLog) Option {
 	return func(c *Controller) { c.wal = w }
 }
@@ -269,9 +261,8 @@ func NewController(alg packing.Algorithm, model workload.LoadModel, opts ...Opti
 	}
 	if c.wal != nil {
 		// A failed group commit is rolled back by removing the tenants the
-		// batch placed (placeJobs) or re-admitting a departed one
-		// (handleRemoveTenant); without Remove the 503s would lie about
-		// the in-memory state, so refuse the attachment up front.
+		// group admitted (rollbackBatch); without Remove the 503s would lie
+		// about the in-memory state, so refuse the attachment up front.
 		if _, ok := alg.(Remover); !ok {
 			return nil, fmt.Errorf("api: %s does not support tenant removal; cannot attach a WAL (commit-failure rollback requires it)", alg.Name())
 		}
@@ -307,10 +298,6 @@ func NewDefaultController() (*Controller, error) {
 	}
 	return NewController(cf, workload.DefaultLoadModel())
 }
-
-// Metrics returns the controller's metric registry so embedding servers
-// can add their own series.
-func (c *Controller) Metrics() *metrics.Registry { return c.registry }
 
 // Handler returns the HTTP routes, each instrumented with request and
 // latency metrics under a stable route name.
@@ -393,19 +380,8 @@ type explainResponse struct {
 }
 
 func (c *Controller) handleExplain(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID(w, r)
+	t, hosts, ok := c.lookupTenant(w, r)
 	if !ok {
-		return
-	}
-	c.mu.RLock()
-	t, exists := c.alg.Placement().Tenant(id)
-	var hosts []int
-	if exists {
-		hosts = c.alg.Placement().TenantHosts(id)
-	}
-	c.mu.RUnlock()
-	if !exists {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("tenant %d not found", id)})
 		return
 	}
 	resp := explainResponse{
@@ -417,21 +393,35 @@ func (c *Controller) handleExplain(w http.ResponseWriter, r *http.Request) {
 	// Failover attribution: under γ-replication a failed server's clients
 	// shift to the tenant's surviving replicas, i.e. its other hosts.
 	for i, sid := range hosts {
-		others := make([]int, 0, len(hosts)-1)
-		for _, other := range hosts {
-			if other != sid {
-				others = append(others, other)
-			}
-		}
-		resp.Failover = append(resp.Failover, explainReplica{
-			Replica: i, Server: sid, FailoverTo: others,
-		})
+		others := append(append(make([]int, 0, len(hosts)-1), hosts[:i]...), hosts[i+1:]...)
+		resp.Failover = append(resp.Failover, explainReplica{Replica: i, Server: sid, FailoverTo: others})
 	}
-	if d, ok := obs.DecisionFor(c.ring.Last(-1), int(id)); ok {
+	if d, ok := obs.DecisionFor(c.ring.Last(-1), int(t.ID)); ok {
 		resp.Traced = true
 		resp.Decision = &d
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// lookupTenant returns the tenant named by the request path and its
+// hosts, read under the read lock; it answers 400 or 404 and returns
+// false when there is no such tenant.
+func (c *Controller) lookupTenant(w http.ResponseWriter, r *http.Request) (packing.Tenant, []int, bool) {
+	id, ok := pathID(w, r)
+	if !ok {
+		return packing.Tenant{}, nil, false
+	}
+	c.mu.RLock()
+	t, exists := c.alg.Placement().Tenant(id)
+	var hosts []int
+	if exists {
+		hosts = c.alg.Placement().TenantHosts(id)
+	}
+	c.mu.RUnlock()
+	if !exists {
+		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("tenant %d not found", id)})
+	}
+	return t, hosts, exists
 }
 
 // placeRequest admits a tenant either by explicit load or by client count
@@ -525,19 +515,8 @@ func (c *Controller) handlePlace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Controller) handleGetTenant(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID(w, r)
+	t, hosts, ok := c.lookupTenant(w, r)
 	if !ok {
-		return
-	}
-	c.mu.RLock()
-	t, exists := c.alg.Placement().Tenant(id)
-	var hosts []int
-	if exists {
-		hosts = c.alg.Placement().TenantHosts(id)
-	}
-	c.mu.RUnlock()
-	if !exists {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("tenant %d not found", id)})
 		return
 	}
 	writeJSON(w, http.StatusOK, placeResponse{
@@ -553,54 +532,21 @@ func (c *Controller) handleRemoveTenant(w http.ResponseWriter, r *http.Request) 
 	if !ok {
 		return
 	}
-	rem, supports := c.alg.(Remover)
-	if !supports {
+	if _, supports := c.alg.(Remover); !supports {
 		writeJSON(w, http.StatusMethodNotAllowed,
 			errorResponse{Error: fmt.Sprintf("%s does not support tenant departure", c.alg.Name())})
 		return
 	}
-	c.mu.Lock()
-	if c.wal != nil && c.wal.Err() != nil {
-		c.mu.Unlock()
-		writeJSON(w, http.StatusServiceUnavailable,
-			errorResponse{Error: "write-ahead log unavailable; mutations disabled"})
+	// The placer logs the departure, syncs, and only then applies it.
+	job := &admitJob{items: []admitItem{{tenant: packing.Tenant{ID: id}, depart: true}}, done: make(chan struct{})}
+	if !c.enqueue(job) {
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server shutting down"})
 		return
 	}
-	// Captured before removal so a failed WAL commit can re-admit it.
-	t, _ := c.alg.Placement().Tenant(id)
-	// The depart event is delivered after Remove, when the placement no
-	// longer holds the tenant's hosts: mark them for re-audit now.
-	c.auditor.MarkTenant(id)
-	err := rem.Remove(id)
-	if err == nil {
-		c.mutatedLocked()
-	}
-	c.mu.Unlock()
-	if err != nil {
-		if errors.Is(err, packing.ErrUnknownTenant) {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+	<-job.done
+	if it := &job.items[0]; it.status != http.StatusNoContent {
+		writeJSON(w, it.status, errorResponse{Error: it.err})
 		return
-	}
-	// Departures are durable before they are acked, like admissions.
-	if c.wal != nil {
-		if werr := c.wal.Sync(); werr != nil {
-			// The depart record may not have reached stable storage, so the
-			// removal cannot be acked: re-admit the tenant and report 503,
-			// mirroring placeJobs' rollback, so reads keep serving the state
-			// the client was told. (If the flush landed but the fsync
-			// failed, recovery may still replay the departure — durability
-			// errs toward the log, never the ack.)
-			c.mu.Lock()
-			_ = c.alg.Place(t)
-			c.mutatedLocked()
-			c.mu.Unlock()
-			writeJSON(w, http.StatusServiceUnavailable,
-				errorResponse{Error: "write-ahead log sync failed: " + werr.Error()})
-			return
-		}
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -615,7 +561,8 @@ func (c *Controller) handlePlacement(w http.ResponseWriter, _ *http.Request) {
 // It drops the cached placement snapshot and delivers the mutation's
 // decision events once:
 //   - each event, in engine order, to the log's Record, so its records
-//     are staged before the group commit;
+//     are staged before the group commit; depart events excepted, because
+//     the placer logged each departure before applying it;
 //   - the servers they placed on or opened to the auditor, which then
 //     re-audits every touched server, O(those servers), so the headroom
 //     gauges can be computed later without the controller lock (see
@@ -629,7 +576,9 @@ func (c *Controller) mutatedLocked() {
 	events := c.pending.events
 	if c.wal != nil {
 		for i := range events {
-			c.wal.Record(events[i])
+			if events[i].Kind != obs.KindDepart {
+				c.wal.Record(events[i])
+			}
 		}
 	}
 	c.auditor.MarkPlaced(events)

@@ -2,7 +2,6 @@ package api
 
 import (
 	"bytes"
-	"fmt"
 	"net/http"
 	"sync"
 	"testing"
@@ -255,12 +254,12 @@ func (b *blockingSyncer) Sync() error {
 }
 
 // TestReadyzFlipsOnPlacerStall hangs the placer inside a group commit
-// with admissions queued behind it and a departure holding the
-// controller write lock while it waits for the same WAL: the stall
-// watchdog walks the state machine degraded→critical (readiness drops)
-// and GET /metrics still answers, because neither the tick nor the scrape
-// waits on the controller lock. Releasing the commit lets the departure
-// and the queue through and restores readiness. The pipeline is driven
+// with admissions and a departure queued behind it, while the test holds
+// the controller write lock as a placer stalled inside an engine call
+// would: the stall watchdog walks the state machine degraded→critical
+// (readiness drops) and GET /metrics still answers, because neither the
+// tick nor the scrape waits on the controller lock. Releasing the commit
+// lets the queue through and restores readiness. The pipeline is driven
 // with direct enqueues so the fake clock is only touched while the placer
 // is provably parked inside Sync.
 func TestReadyzFlipsOnPlacerStall(t *testing.T) {
@@ -289,25 +288,20 @@ func TestReadyzFlipsOnPlacerStall(t *testing.T) {
 	// The first job reaches the engine and hangs in its group commit.
 	jobs := []*admitJob{enqueue(1)}
 	<-bs.entered
-	// Three more pile up behind it; the queue-depth gauge (set at each
-	// enqueue, before the send) ends at 2 and stays there.
+	// Three more pile up behind it, and a departure behind them; the
+	// queue-depth gauge (set at each enqueue, before the send) ends at 3
+	// and stays there.
 	for id := 2; id <= 4; id++ {
 		jobs = append(jobs, enqueue(id))
 	}
-	// A departure takes the controller write lock and then waits on the
-	// WAL lock the hung commit holds.
-	departed := make(chan error, 1)
-	go func() {
-		code, err := tryJSON("DELETE", srv.URL+"/v1/tenants/1", nil, nil)
-		if err == nil && code != http.StatusNoContent {
-			err = fmt.Errorf("DELETE during the hung commit = %d, want 204", code)
-		}
-		departed <- err
-	}()
-	for ctrl.mu.TryRLock() {
-		ctrl.mu.RUnlock()
-		time.Sleep(time.Millisecond)
+	departure := &admitJob{
+		items: []admitItem{{tenant: packing.Tenant{ID: 1}, depart: true}},
+		done:  make(chan struct{}),
 	}
+	if !ctrl.enqueue(departure) {
+		t.Fatal("departure enqueue refused")
+	}
+	ctrl.mu.Lock()
 
 	tick := func() { fake.Advance(time.Second); ctrl.HealthTick() }
 
@@ -330,17 +324,19 @@ func TestReadyzFlipsOnPlacerStall(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Release the hung commit: the departure and the queue drain and every
-	// admission lands.
+	// Release the lock and the hung commit: the queue drains, every
+	// admission lands and the departure applies.
+	ctrl.mu.Unlock()
 	close(bs.release)
-	if err := <-departed; err != nil {
-		t.Fatal(err)
-	}
 	for i, job := range jobs {
 		<-job.done
 		if s := job.items[0].status; s != http.StatusCreated {
 			t.Fatalf("job %d status = %d (%s)", i, s, job.items[0].err)
 		}
+	}
+	<-departure.done
+	if s := departure.items[0].status; s != http.StatusNoContent {
+		t.Fatalf("departure status = %d (%s)", s, departure.items[0].err)
 	}
 	tick()
 	tick() // RecoverTicks=2 with an empty queue

@@ -9,26 +9,26 @@ import (
 	"cubefit/internal/packing"
 )
 
-// Admission pipeline: every admission — single requests and batches alike
-// — is enqueued as a job on a bounded queue and resolved by one placer
-// goroutine. The placer coalesces whatever jobs are waiting into a single
-// write-lock acquisition, places the tenants in arrival order (the exact
-// serial semantics of the engine), invalidates the placement snapshot once
-// per batch, delivers the batch's decision events to the log, the
-// headroom auditor, the event ring and the engine metrics, and then
-// performs one write-ahead-log group commit before any of the batched
-// admissions are acked. The headroom gauges are computed when read
-// (refreshGauges). Handlers block on their job's future; arrival order is
-// the queue order, so a batch of N is indistinguishable from N
-// back-to-back single requests.
+// Admission pipeline: every mutation — single admissions, batches and
+// departures alike — is enqueued as a job on a bounded queue and resolved
+// by one placer goroutine, the only code that mutates the engine or syncs
+// the write-ahead log. The placer coalesces whatever jobs are waiting and
+// resolves them in groups under the write lock: admissions in arrival
+// order (the exact serial semantics of the engine), then the departures
+// that follow them. It invalidates the placement snapshot and delivers
+// the decision events once per group, performs one group commit before
+// any item of the group is acked, and applies the group's departures only
+// after it. Handlers block on their job's future; arrival order is the
+// queue order, so coalesced jobs are indistinguishable from back-to-back
+// single requests.
 
 const (
 	// admitQueueDepth bounds the number of queued jobs; producers block
 	// (backpressure) when the pipeline falls behind.
 	admitQueueDepth = 1024
-	// maxCoalescedItems caps how many admissions the placer folds into
-	// one lock acquisition and group commit, bounding ack latency for the
-	// first request of a busy burst.
+	// maxCoalescedItems caps how many items the placer takes off the
+	// queue at once, bounding ack latency for the first request of a busy
+	// burst.
 	maxCoalescedItems = 4096
 	// maxBatchTenants caps the size of one POST /v1/tenants:batch request.
 	maxBatchTenants = 4096
@@ -38,9 +38,11 @@ const (
 // outcome back to the waiting handler.
 type admitItem struct {
 	tenant packing.Tenant
-	// status is an HTTP status code: 0 until decided, http.StatusCreated
-	// on success. Items pre-rejected by request validation enter the
-	// queue with their status already set and are skipped by the placer.
+	// depart marks a departure of tenant.ID, the one item of its job.
+	depart bool
+	// status is an HTTP status code: 0 until decided, 201 or 204 on
+	// success. Items pre-rejected by request validation enter the queue
+	// with their status already set and are skipped by the placer.
 	status  int
 	err     string
 	servers []int
@@ -76,7 +78,7 @@ func (c *Controller) enqueue(job *admitJob) bool {
 
 // Close drains the admission pipeline and, when a write-ahead log is
 // attached, performs its final group commit and closes it. In-flight and
-// already-queued admissions complete; subsequent ones are refused with
+// already-queued mutations complete; subsequent ones are refused with
 // 503. Close is idempotent and safe for concurrent use.
 func (c *Controller) Close() error {
 	c.sendMu.Lock()
@@ -97,7 +99,7 @@ func (c *Controller) Close() error {
 }
 
 // runPlacer is the pipeline's single consumer: it owns the order in which
-// admissions reach the engine, and so the order in which they reach the
+// mutations reach the engine, and so the order in which they reach the
 // write-ahead log.
 func (c *Controller) runPlacer() {
 	defer close(c.placerDone)
@@ -128,10 +130,11 @@ func (c *Controller) runPlacer() {
 	}
 }
 
-// admitItemsLocked admits every undecided item of the coalesced jobs, in
-// arrival order, and runs mutatedLocked when the engine changed. It
-// returns the number of successful engine admissions (the commit's group
-// size) and whether anything mutated. The caller holds the write lock.
+// admitItemsLocked admits every undecided admission of the group, in
+// arrival order, and runs mutatedLocked when the engine changed; while the
+// log is down it answers every item 503. It returns the number of
+// successful engine admissions (the commit's group size) and whether
+// anything mutated. The caller holds the write lock.
 func (c *Controller) admitItemsLocked(jobs []*admitJob) (group int, mutated bool) {
 	tr := c.tracer
 	walDown := c.wal != nil && c.wal.Err() != nil
@@ -146,8 +149,11 @@ func (c *Controller) admitItemsLocked(jobs []*admitJob) (group int, mutated bool
 			}
 			if walDown {
 				it.status = http.StatusServiceUnavailable
-				it.err = "write-ahead log unavailable; admissions disabled"
+				it.err = "write-ahead log unavailable; mutations disabled"
 				continue
+			}
+			if it.depart {
+				continue // stageDeparturesLocked
 			}
 			if _, exists := p.Tenant(it.tenant.ID); exists {
 				it.status = http.StatusConflict
@@ -183,23 +189,41 @@ func (c *Controller) admitItemsLocked(jobs []*admitJob) (group int, mutated bool
 	return group, mutated
 }
 
-// rollbackBatch demotes every admitted item of the batch to 503 and
-// removes its tenant from the engine, keeping the in-memory state aligned
-// with what clients were told. (If the flush landed but the fsync failed,
-// recovery may still resurrect these admissions from the log — durability
-// errs toward the log, never the ack.)
-func (c *Controller) rollbackBatch(jobs []*admitJob, msg string) {
-	// NewController refuses WAL attachment on algorithms without Remove,
-	// so the rollback is always available here.
+// stageDeparturesLocked hands the log every undecided departure of the
+// group, after its admissions, and marks it 204; one of a tenant the engine
+// does not hold, or that departs earlier in the group, answers 404. It
+// reports whether any departure was staged. The caller holds the lock.
+func (c *Controller) stageDeparturesLocked(jobs []*admitJob) bool {
+	departing := map[packing.TenantID]bool{}
+	for _, job := range jobs {
+		it := &job.items[0]
+		if !it.depart || it.status != 0 {
+			continue
+		}
+		if _, ok := c.alg.Placement().Tenant(it.tenant.ID); !ok || departing[it.tenant.ID] {
+			it.status, it.err = http.StatusNotFound, fmt.Sprintf("%v: %d", packing.ErrUnknownTenant, it.tenant.ID)
+			continue
+		}
+		if c.wal != nil {
+			e := obs.NewEvent(obs.KindDepart)
+			e.Tenant = int(it.tenant.ID)
+			c.wal.Record(e)
+		}
+		departing[it.tenant.ID] = true
+		it.status = http.StatusNoContent
+	}
+	return len(departing) > 0
+}
+
+// removeItemsLocked removes the tenant of every item that answers status,
+// a committed departure (204) or an admission after a failed commit (201),
+// and delivers the removals' events. Either implies Remove, and the placer
+// saw the tenant placed, so Remove cannot fail. The caller holds the lock.
+func (c *Controller) removeItemsLocked(jobs []*admitJob, status int) {
 	rem := c.alg.(Remover)
-	c.mu.Lock()
 	for _, job := range jobs {
 		for i := range job.items {
-			it := &job.items[i]
-			if it.status == http.StatusCreated {
-				it.status = http.StatusServiceUnavailable
-				it.err = msg
-				it.servers = nil
+			if it := &job.items[i]; it.status == status {
 				// The depart event is delivered after Remove, when the
 				// placement no longer holds the tenant's hosts.
 				c.auditor.MarkTenant(it.tenant.ID)
@@ -208,69 +232,79 @@ func (c *Controller) rollbackBatch(jobs []*admitJob, msg string) {
 		}
 	}
 	c.mutatedLocked()
-	c.mu.Unlock()
 }
 
-// placeJobs admits every undecided item of the coalesced jobs under one
-// write-lock acquisition, then group-commits the write-ahead log before
-// the callers are released. On a failed commit every admission of the
-// batch is demoted to 503: its events may not have reached stable
-// storage, so acking it would break the recovery contract. The WAL error
-// is sticky, so all later admissions fail closed until the operator
-// intervenes.
-func (c *Controller) placeJobs(jobs []*admitJob) {
-	tr := c.tracer
+// rollbackBatch answers 503 to every admission and departure of a group
+// whose commit failed and removes its admitted tenants again; its
+// departures never reached the engine. (If the flush landed but the fsync
+// failed, recovery may still replay them — durability errs toward the
+// log, never the ack.)
+func (c *Controller) rollbackBatch(jobs []*admitJob, msg string) {
 	c.mu.Lock()
-	group, mutated := c.admitItemsLocked(jobs)
+	c.removeItemsLocked(jobs, http.StatusCreated)
 	c.mu.Unlock()
-	if c.wal == nil || !mutated {
-		return
-	}
-	// One group commit covers the whole coalesced batch: every span in it
-	// (including rejected items, which wait for the same fsync before
-	// their handler is released) carries the commit identity, so the
-	// fsync's cost is attributable across the admissions it covered.
-	var commitID uint64
-	var commitStart int64
-	if tr != nil {
-		commitID = tr.nextCommit()
-		commitStart = tr.now()
-		stampCommitStart(jobs, commitStart)
-	}
-	syncErr := c.wal.Sync()
-	if tr != nil {
-		commitEnd := tr.now()
-		stampCommitEnd(jobs, commitEnd, commitID, group)
-		tr.commitDone(commitID, group, commitEnd-commitStart, commitEnd, syncErr != nil)
-	}
-	if err := syncErr; err != nil {
-		// The batch's events may not have reached stable storage, so none
-		// of its admissions can be acked.
-		c.rollbackBatch(jobs, "write-ahead log sync failed: "+err.Error())
-	}
-}
-
-// stampCommitStart marks the group commit beginning on every traced span
-// of the batch.
-func stampCommitStart(jobs []*admitJob, ns int64) {
 	for _, job := range jobs {
 		for i := range job.items {
-			if sp := job.items[i].span; sp != nil {
-				sp.CommitStartNs = ns
+			if it := &job.items[i]; it.status == http.StatusCreated || it.status == http.StatusNoContent {
+				it.status, it.err, it.servers = http.StatusServiceUnavailable, msg, nil
 			}
 		}
 	}
 }
 
-// stampCommitEnd marks the group commit completion and identity (commit
-// sequence number and group size) on every traced span of the batch.
-func stampCommitEnd(jobs []*admitJob, ns int64, commitID uint64, group int) {
-	for _, job := range jobs {
+// placeJobs resolves the coalesced jobs group by group: a run of
+// admissions and the departures that follow them. An admission after a
+// departure starts the next group, because it must see that departure
+// applied, so the jobs resolve as they would one at a time. A group that
+// logged anything is committed before its departures are applied; a
+// failed commit acks none of it, and the log's error is sticky, so all
+// later mutations fail closed until the operator intervenes.
+func (c *Controller) placeJobs(jobs []*admitJob) {
+	for len(jobs) > 0 {
+		n := 1
+		for n < len(jobs) && (!jobs[n-1].items[0].depart || jobs[n].items[0].depart) {
+			n++
+		}
+		group := jobs[:n]
+		jobs = jobs[n:]
+		c.mu.Lock()
+		admitted, mutated := c.admitItemsLocked(group)
+		departs := c.stageDeparturesLocked(group)
+		c.mu.Unlock()
+		if c.wal != nil && (mutated || departs) {
+			tr, start := c.tracer, int64(0)
+			if tr != nil {
+				start = tr.now()
+			}
+			err := c.wal.Sync()
+			if tr != nil {
+				id, end := tr.nextCommit(), tr.now()
+				stampCommit(group, start, end, id, admitted)
+				tr.commitDone(id, admitted, end-start, end, err != nil)
+			}
+			if err != nil {
+				c.rollbackBatch(group, "write-ahead log sync failed: "+err.Error())
+				continue
+			}
+		}
+		if departs {
+			c.mu.Lock()
+			c.removeItemsLocked(group, http.StatusNoContent)
+			c.mu.Unlock()
+		}
+	}
+}
+
+// stampCommit marks a group commit's start, end, sequence number and
+// group size (admitted) on every traced span of the group, rejected items
+// included: they waited for the same fsync, whose cost is so attributable
+// across the admissions it covered.
+func stampCommit(group []*admitJob, start, end int64, id uint64, admitted int) {
+	for _, job := range group {
 		for i := range job.items {
 			if sp := job.items[i].span; sp != nil {
-				sp.CommitEndNs = ns
-				sp.Commit = commitID
-				sp.Group = group
+				sp.CommitStartNs, sp.CommitEndNs = start, end
+				sp.Commit, sp.Group = id, admitted
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -517,34 +518,182 @@ func TestWALFailClosed(t *testing.T) {
 	}
 }
 
-// TestRemoveTenantWALSyncFailureRollsBack: a departure whose group commit
-// fails must be rolled back like a failed batch — the client gets 503 and
-// the tenant stays admitted, so reads never serve unacked state (and a
-// restart, which replays the log without the depart, agrees).
-func TestRemoveTenantWALSyncFailureRollsBack(t *testing.T) {
-	fw := &flakyWriter{}
-	srv, cf, _ := newEngineServer(t, WithWAL(obs.NewWAL(fw)))
-	if code := doJSON(t, "POST", srv.URL+"/v1/tenants", map[string]any{"id": 1, "clients": 5}, nil); code != 201 {
-		t.Fatalf("admission status %d", code)
+// TestRemoveTenantWALSyncFailureLeavesTenantPlaced: a departure whose
+// group commit fails answers 503 and leaves the engine untouched — the
+// tenant stays on exactly the hosts it had, with its load and clients —
+// so reads never serve unacked state, a restart (which replays the log
+// without the depart) agrees, and the sticky error refuses the next
+// admission. Tenant 0 of walController's first batch is one that a
+// re-admission after the failed sync would move to other hosts.
+func TestRemoveTenantWALSyncFailureLeavesTenantPlaced(t *testing.T) {
+	sw := &syncSwitch{}
+	c, src := walController(t, sw)
+	batch := workload.Take(src, 64)
+	for i, st := range placeTenants(c, batch...) {
+		if st != http.StatusCreated {
+			t.Fatalf("batch item %d: status %d", i, st)
+		}
 	}
-	fw.trip()
-	if code := doDelete(t, srv.URL+"/v1/tenants/1"); code != 503 {
+	p := c.alg.Placement()
+	id := batch[0].ID
+	before, hosts := batch[0], p.TenantHosts(id)
+	sw.fail = true
+	if code := deleteTenant(c, id); code != http.StatusServiceUnavailable {
 		t.Fatalf("delete status %d, want 503", code)
 	}
-	// The unacked removal was rolled back: the tenant is still placed,
-	// with its load and client count intact, and the state validates.
-	tn, exists := cf.Placement().Tenant(1)
+	tn, exists := p.Tenant(id)
 	if !exists {
-		t.Fatal("tenant removed although the departure was acked 503")
+		t.Fatal("tenant removed although the departure was answered 503")
 	}
-	if tn.Clients != 5 {
-		t.Fatalf("rolled-back tenant lost its shape: %+v", tn)
+	if tn != before {
+		t.Fatalf("tenant after the 503 departure %+v, want %+v", tn, before)
 	}
-	if err := cf.Placement().Validate(); err != nil {
+	if got := p.TenantHosts(id); !reflect.DeepEqual(got, hosts) {
+		t.Fatalf("tenant moved from servers %v to %v by a departure answered 503", hosts, got)
+	}
+	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if code := doJSON(t, "GET", srv.URL+"/v1/tenants/1", nil, nil); code != 200 {
-		t.Fatalf("read-your-503: GET tenant status %d, want 200", code)
+	if st := placeTenants(c, src.Next()); st[0] != http.StatusServiceUnavailable {
+		t.Fatalf("admission after the failed sync: status %d, want 503", st[0])
+	}
+}
+
+// countingLog is a log file held in memory that counts its syncs.
+type countingLog struct {
+	bytes.Buffer
+	syncs int
+}
+
+func (l *countingLog) Sync() error {
+	l.syncs++
+	return nil
+}
+
+// TestCoalescedDeparturesMatchSerial drives placeJobs with mixed job lists
+// on one controller and sends the same requests one at a time through the
+// handler of a second: single admissions and a 64-tenant batch, a
+// departure of a tenant admitted earlier in the list, two departures of
+// one tenant, a departure of an unknown id and a re-admission of a
+// departed id. Both must answer the same statuses and end with the same
+// placement and the same log bytes. The coalesced controller syncs once
+// per group: once for two admissions followed by two departures, and not
+// at all for a group whose only item answers 404.
+func TestCoalescedDeparturesMatchSerial(t *testing.T) {
+	// A step is one request: the admission of admit (a batch when it
+	// holds several), or else the departure of depart.
+	type step struct {
+		admit  []placeRequest
+		depart int
+	}
+	admit := func(reqs ...placeRequest) step { return step{admit: reqs} }
+	depart := func(id int) step { return step{depart: id} }
+	batch := make([]placeRequest, 64)
+	mixedWant := []int{201, 201}
+	for i := range batch {
+		batch[i] = placeRequest{ID: 100 + i, Clients: 1 + i%15}
+		mixedWant = append(mixedWant, 201)
+	}
+	// The departed ids 1 and 120 are admitted again, and 120's second
+	// departure and 999's answer 404.
+	mixedWant = append(mixedWant, 204, 204, 404, 404, 201, 204, 201)
+	calls := []struct {
+		steps  []step
+		want   []int // every item's status, in order
+		groups int   // the syncs the coalesced call makes
+	}{{
+		steps: []step{
+			admit(placeRequest{ID: 1, Load: 0.3}), admit(placeRequest{ID: 2, Clients: 8}), admit(batch...),
+			depart(1), depart(120), depart(120), depart(999),
+			admit(placeRequest{ID: 1, Load: 0.45}), depart(2), admit(placeRequest{ID: 120, Clients: 3}),
+		},
+		want:   mixedWant,
+		groups: 3,
+	}, {
+		steps:  []step{admit(placeRequest{ID: 500, Load: 0.2}), admit(placeRequest{ID: 501, Clients: 4}), depart(500), depart(501)},
+		want:   []int{201, 201, 204, 204},
+		groups: 1,
+	}, {
+		steps: []step{depart(999)}, want: []int{404},
+	}}
+
+	newCtrl := func(log *countingLog) *Controller {
+		cf, err := core.New(core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewController(cf, workload.DefaultLoadModel(), WithWAL(obs.NewWAL(log)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	serve := func(c *Controller, method, path string, body any) *httptest.ResponseRecorder {
+		var buf bytes.Buffer
+		if body != nil {
+			if err := json.NewEncoder(&buf).Encode(body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, &buf))
+		return rec
+	}
+	var coalescedLog, serialLog countingLog
+	coalesced, serial := newCtrl(&coalescedLog), newCtrl(&serialLog)
+	for n, call := range calls {
+		jobs := make([]*admitJob, len(call.steps))
+		var serialStatus []int
+		for i, st := range call.steps {
+			jobs[i] = &admitJob{}
+			switch {
+			case st.admit == nil:
+				jobs[i].items = []admitItem{{tenant: packing.Tenant{ID: packing.TenantID(st.depart)}, depart: true}}
+				serialStatus = append(serialStatus, serve(serial, "DELETE", "/v1/tenants/"+strconv.Itoa(st.depart), nil).Code)
+			case len(st.admit) == 1:
+				serialStatus = append(serialStatus, serve(serial, "POST", "/v1/tenants", st.admit[0]).Code)
+			default:
+				var resp batchResponse
+				rec := serve(serial, "POST", "/v1/tenants:batch", batchRequest{Tenants: st.admit})
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range resp.Results {
+					serialStatus = append(serialStatus, r.Status)
+				}
+			}
+			for _, pr := range st.admit {
+				tn, err := coalesced.resolve(pr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				jobs[i].items = append(jobs[i].items, admitItem{tenant: tn})
+			}
+		}
+		syncs := coalescedLog.syncs
+		coalesced.placeJobs(jobs)
+		var status []int
+		for _, job := range jobs {
+			for _, it := range job.items {
+				status = append(status, it.status)
+			}
+		}
+		if !reflect.DeepEqual(status, call.want) || !reflect.DeepEqual(serialStatus, call.want) {
+			t.Fatalf("call %d: coalesced statuses %v, serial %v, want %v", n, status, serialStatus, call.want)
+		}
+		if got := coalescedLog.syncs - syncs; got != call.groups {
+			t.Fatalf("call %d: %d syncs, want %d", n, got, call.groups)
+		}
+	}
+	if a, b := serve(coalesced, "GET", "/v1/placement", nil).Body.String(), serve(serial, "GET", "/v1/placement", nil).Body.String(); a != b {
+		t.Fatalf("placements differ:\ncoalesced: %s\nserial:    %s", a, b)
+	}
+	if err := errors.Join(coalesced.Close(), serial.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(coalescedLog.Bytes(), serialLog.Bytes()) {
+		t.Fatalf("logs differ:\ncoalesced:\n%s\nserial:\n%s", coalescedLog.Bytes(), serialLog.Bytes())
 	}
 }
 

@@ -389,8 +389,7 @@ func spanPipelineCycle(tr *pipelineTracer, job *admitJob, jobs []*admitJob) {
 	tr.dequeued(jobs, 0)
 	sp.PlaceStartNs = tr.now()
 	sp.PlaceEndNs = tr.now()
-	stampCommitStart(jobs, tr.now())
-	stampCommitEnd(jobs, tr.now(), 1, 1)
+	stampCommit(jobs, tr.now(), tr.now(), 1, 1)
 	sp.Status = http.StatusCreated
 	tr.finish(sp)
 }
