@@ -18,7 +18,7 @@ import (
 // writeHealthLog drives a real monitor through a WAL incident against a
 // fake clock and returns the path of the JSONL log it streamed: two
 // healthy ticks, a sticky-WAL critical tick, and a hysteresis recovery.
-func writeHealthLog(t *testing.T) string {
+func writeHealthLog(t testing.TB) string {
 	t.Helper()
 	reg := metrics.NewRegistry()
 	wal := reg.NewGauge(telemetry.SeriesWALStickyError, "sticky wal error")

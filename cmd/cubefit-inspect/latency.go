@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"sort"
 
@@ -158,17 +159,12 @@ func amortize(spans []obs.Span) (commits int, buckets []amortBucket) {
 	if len(seen) == 0 {
 		return 0, nil
 	}
-	// Bucket by group size: [1,1], [2,3], [4,7], ...
 	agg := make(map[int]*amortBucket)
 	for _, ci := range seen {
-		lo := 1
-		for lo*2 <= ci.group {
-			lo *= 2
-		}
-		hi := lo*2 - 1
+		lo := groupBucket(ci.group)
 		b := agg[lo]
 		if b == nil {
-			b = &amortBucket{GroupMin: lo, GroupMax: hi}
+			b = &amortBucket{GroupMin: lo, GroupMax: lo | (lo - 1)}
 			agg[lo] = b
 		}
 		b.Commits++
@@ -191,6 +187,16 @@ func amortize(spans []obs.Span) (commits int, buckets []amortBucket) {
 		buckets = append(buckets, *b)
 	}
 	return len(seen), buckets
+}
+
+// groupBucket returns the lower bound of a commit group's bucket: the
+// buckets are [1,1], [2,3], [4,7], …, and a group below 1 counts in the
+// first. It terminates for every int, the largest groups included.
+func groupBucket(group int) int {
+	if group <= 1 {
+		return 1
+	}
+	return 1 << (bits.Len(uint(group)) - 1)
 }
 
 // formatNs renders a nanosecond quantity at a human scale.

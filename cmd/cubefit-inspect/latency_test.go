@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"cubefit/internal/obs"
 )
@@ -14,7 +16,7 @@ import (
 // writeSpanLog builds a synthetic span log: 6 spans across 2 group
 // commits (sizes 4 and 2) with exactly known stage durations, plus one
 // rejected span that never reached a commit.
-func writeSpanLog(t *testing.T) string {
+func writeSpanLog(t testing.TB) string {
 	t.Helper()
 	var buf bytes.Buffer
 	sink := obs.NewSpanJSONL(&buf)
@@ -130,5 +132,53 @@ func TestLatencyErrors(t *testing.T) {
 	}
 	if err := run([]string{"latency", "-spans", empty}, nil, &out); err == nil {
 		t.Fatal("empty span log should fail")
+	}
+}
+
+// TestLatencyReportHugeGroup: a span whose commit group is 2^62 or more
+// lands in a bucket like any other. The bucket search once doubled its
+// bound until it overflowed to 0 and spun forever, so the report runs in
+// a goroutine and a regression fails within 2 s instead of hanging.
+func TestLatencyReportHugeGroup(t *testing.T) {
+	for _, group := range []string{"4611686018427387904", "9223372036854775807"} {
+		spans, err := obs.ReadSpanJSONL(strings.NewReader(`{"tenant":1,"status":201,"commit":1,"group":` + group + "}\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan latencyReport, 1)
+		go func() { done <- buildLatencyReport(spans) }()
+		select {
+		case rep := <-done:
+			if len(rep.Amortization) != 1 || rep.Amortization[0].GroupMin != 1<<62 || rep.Amortization[0].GroupMax != math.MaxInt {
+				t.Fatalf("group %s: buckets %+v, want one [2^62, MaxInt]", group, rep.Amortization)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("latency report on a span with group %s did not return within 2s", group)
+		}
+	}
+}
+
+// TestGroupBucketMatchesDoubling: every group below 2^62, the whole range
+// the live writer can produce, lands in the bucket the doubling search
+// chose.
+func TestGroupBucketMatchesDoubling(t *testing.T) {
+	doubling := func(group int) int {
+		lo := 1
+		for lo*2 <= group {
+			lo *= 2
+		}
+		return lo
+	}
+	groups := []int{-1, 0}
+	for g := 1; g <= 5000; g++ {
+		groups = append(groups, g)
+	}
+	for p := 2; p < 62; p++ {
+		groups = append(groups, 1<<p-1, 1<<p, 1<<p+1)
+	}
+	for _, g := range groups {
+		if got, want := groupBucket(g), doubling(g); got != want {
+			t.Fatalf("groupBucket(%d) = %d, want %d", g, got, want)
+		}
 	}
 }

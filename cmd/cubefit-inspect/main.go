@@ -3,19 +3,28 @@
 // validates the robustness invariant, summarizes utilization, lists the
 // most loaded servers, and runs worst-case failure drills.
 //
-// The explain subcommand instead replays a decision event log (the JSONL
-// written by `cubefit-sim -events` or streamed from GET /debug/events)
-// and reconstructs each tenant's admission path — first-stage bin IDs, or
-// cube class/counter/digits/slot, or the tiny policy, or a rejection.
-// Given a snapshot too, it cross-checks the reconstructed servers against
-// the placement and prints the replica-to-server failover attribution.
+// The explain subcommand instead replays an operation log (the log
+// written by `cubefit-server -wal` or `cubefit-sim -wal`) through a fresh
+// CubeFit with a recorder attached, the loop the server boots through
+// (recovery.Replay). CubeFit is deterministic, so the replay regenerates
+// the decision stream the run emitted, and explain reconstructs each
+// tenant's admission path from it — first-stage bin IDs, or cube
+// class/counter/digits/slot, or the tiny policy, or a rejection. Given a
+// snapshot too, it cross-checks the reconstructed servers against the
+// placement and prints the replica-to-server failover attribution.
 //
-// The headroom subcommand replays the same kind of event log through the
-// incremental robustness headroom auditor (internal/headroom) and reports
-// the worst-case failover safety margin over time: one sample per closed
-// admission or departure (-csv for the raw series), the trough, and the
+// The headroom subcommand replays the same log with the incremental
+// robustness headroom auditor (internal/headroom) as the engine's
+// recorder and reports the worst-case failover safety margin over time:
+// one sample per operation of the log (-csv for the raw series, whose op
+// column is the operation's position in the log), the trough, and the
 // tightest servers with their arg-max failure sets attributed to the
 // tenants causing them.
+//
+// Both take γ from the log's first admission (2 when it holds none) and K
+// from -k, which the log does not record and which must be the writing
+// run's (cubefit-server's default is 10). Both drop a torn final record,
+// as boot does, and say so, except in -csv output.
 //
 // The latency subcommand replays an admission span log (the JSONL written
 // by `cubefit-server -spans`) and decomposes end-to-end admission latency
@@ -35,9 +44,9 @@
 //	cubefit-inspect placement.json
 //	curl -s localhost:8080/v1/placement | cubefit-inspect
 //	cubefit-inspect -drills 2 placement.json
-//	cubefit-inspect explain -events events.jsonl [placement.json]
-//	cubefit-inspect explain -events events.jsonl -tenant 42 placement.json
-//	cubefit-inspect headroom -events events.jsonl [-redline 0.05] [-top 5] [-csv]
+//	cubefit-inspect explain -wal run.wal [-k 10] [placement.json]
+//	cubefit-inspect explain -wal run.wal [-k 10] -tenant 42 placement.json
+//	cubefit-inspect headroom -wal run.wal [-k 10] [-redline 0.05] [-top 5] [-csv]
 //	cubefit-inspect latency -spans spans.jsonl [-json]
 //	cubefit-inspect health -log health.jsonl [-json]
 package main
@@ -49,9 +58,11 @@ import (
 	"os"
 	"sort"
 
+	"cubefit/internal/core"
 	"cubefit/internal/failure"
 	"cubefit/internal/obs"
 	"cubefit/internal/packing"
+	"cubefit/internal/recovery"
 	"cubefit/internal/report"
 	"cubefit/internal/trace"
 	"cubefit/internal/workload"
@@ -173,29 +184,82 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 	return nil
 }
 
-// runExplain replays a decision event log and reports the reconstructed
-// admission paths; see the package comment for usage.
+// openLog reads the operation log at path and builds the fresh CubeFit
+// it replays into: γ from the log's first admission (cubefit-server's
+// default when it holds none) and the given K, which the log does not
+// record. A torn final record is dropped, as boot drops it, and said so
+// on note when note is not nil.
+func openLog(path string, k int, note io.Writer) (*core.CubeFit, []obs.Event, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	//cubefit:vet-allow failclosed -- log opened read-only; closing it cannot lose data
+	defer f.Close()
+	events, torn, err := obs.ReadWAL(f)
+	if err != nil {
+		return nil, nil, fmt.Errorf("reading %s: %w", path, err)
+	}
+	if torn && note != nil {
+		fmt.Fprintf(note, "%s ends in a torn record: replaying its committed prefix\n", path)
+	}
+	cfg := core.DefaultConfig()
+	cfg.K = k
+	var fold obs.OpFold
+	for i := range events {
+		op, err := fold.Next(&events[i])
+		if err != nil {
+			break // the replay reports it
+		}
+		if op != nil && op.Kind == obs.KindAdmit {
+			cfg.Gamma = len(op.Hosts)
+			break
+		}
+	}
+	cf, err := core.New(cfg)
+	return cf, events, err
+}
+
+// replayLog replays the events of path through cf with recovery.Replay,
+// the loop cubefit-server boots through; fn is its per-operation
+// callback.
+func replayLog(cf *core.CubeFit, events []obs.Event, path string, fn func(int, obs.Op)) error {
+	if _, err := recovery.Replay(cf, events, fn); err != nil {
+		return fmt.Errorf("replaying %s at γ=%d, K=%d (-k must match the run that wrote it): %w",
+			path, cf.Config().Gamma, cf.Config().K, err)
+	}
+	return nil
+}
+
+// eventSlice is a recorder that keeps every decision event.
+type eventSlice []obs.Event
+
+func (s *eventSlice) Record(e obs.Event) { *s = append(*s, e) }
+
+// runExplain replays an operation log with a recorder attached and
+// reports the reconstructed admission paths; see the package comment for
+// usage.
 func runExplain(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cubefit-inspect explain", flag.ContinueOnError)
 	var (
-		eventsPath = fs.String("events", "", "decision event log (JSONL, required)")
-		tenant     = fs.Int("tenant", -1, "show the full decision trail of one tenant")
+		walPath = fs.String("wal", "", "operation log to replay (required)")
+		k       = fs.Int("k", core.DefaultConfig().K, "CubeFit classes of the run that wrote the log (cubefit-server -k)")
+		tenant  = fs.Int("tenant", -1, "show the full decision trail of one tenant")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *eventsPath == "" {
-		return fmt.Errorf("explain: -events is required")
+	if *walPath == "" {
+		return fmt.Errorf("explain: -wal is required")
 	}
-	f, err := os.Open(*eventsPath)
+	cf, log, err := openLog(*walPath, *k, out)
 	if err != nil {
 		return err
 	}
-	//cubefit:vet-allow failclosed -- event log opened read-only; closing it cannot lose data
-	defer f.Close()
-	events, err := obs.ReadJSONL(f)
-	if err != nil {
-		return fmt.Errorf("reading %s: %w", *eventsPath, err)
+	var events eventSlice
+	cf.SetRecorder(&events)
+	if err := replayLog(cf, log, *walPath, nil); err != nil {
+		return err
 	}
 	ds := obs.Decisions(events)
 
@@ -250,7 +314,7 @@ func explainTenant(out io.Writer, ds []obs.Decision, snap *trace.Snapshot, tenan
 		}
 	}
 	if d == nil {
-		return fmt.Errorf("explain: tenant %d not found in the event log", tenant)
+		return fmt.Errorf("explain: tenant %d not found in the log", tenant)
 	}
 	fmt.Fprintf(out, "tenant %d (%s): path=%s size=%.4f probes=%d\n",
 		d.Tenant, d.Engine, d.Path, d.Size, d.Probes)

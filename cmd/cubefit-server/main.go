@@ -3,7 +3,7 @@
 // Usage:
 //
 //	cubefit-server [-addr :8080] [-gamma 2] [-k 10] [-redline 0.05] [-wal path]
-//	               [-trace] [-spans path] [-slo-latency-p99 100ms] [-health-interval 1s]
+//	               [-spans path] [-slo-latency-p99 100ms] [-health-interval 1s]
 //	               [-health-log path] [-pprof] [-drain 10s]
 //
 // Endpoints:
@@ -17,7 +17,6 @@
 //	GET    /v1/stats
 //	GET    /v1/validate
 //	POST   /v1/drill         {"failures":2}
-//	POST   /v1/repack
 //	GET    /v1/healthz
 //	GET    /healthz          liveness: 200 while the process serves, verdict in the body
 //	GET    /readyz           readiness: 503 while health is critical or the server drains
@@ -46,9 +45,10 @@
 // Tracing: the admission pipeline stamps every request with a per-stage
 // span (queue wait, placement, WAL stage, group-commit fsync, ack) and
 // exports stage histograms plus queue gauges on /metrics and live
-// percentiles on GET /debug/pipeline. -trace=false disables the span
-// layer entirely; -spans path additionally streams every finished span
-// as JSONL for offline analysis with `cubefit-inspect latency`.
+// percentiles on GET /debug/pipeline. Tracing is always on: the queue and
+// placer-stall health rules watch its series. -spans path additionally
+// streams every finished span as JSONL for offline analysis with
+// `cubefit-inspect latency`.
 //
 // Health: a telemetry monitor (internal/telemetry) samples the metric
 // registry every -health-interval into bounded ring time-series and
@@ -80,8 +80,9 @@
 // group of admissions and departures before it acks any of them, and
 // applies a departure only after its commit. If the log cannot commit,
 // mutations fail closed with 503, and a departure answered 503 leaves its
-// tenant where it was. The decision stream itself is not logged: it stays
-// available at GET /debug/events.
+// tenant where it was. The decision stream itself is not logged: GET
+// /debug/events keeps its recent part, and `cubefit-inspect explain -wal`
+// and `headroom -wal` regenerate all of it by replaying the log.
 //
 // On SIGINT/SIGTERM the server marks itself draining (GET /readyz flips
 // to 503 so load balancers stop routing new traffic), stops accepting new
@@ -226,8 +227,7 @@ func newServer(args []string) (*http.Server, options, error) {
 		redline   = fs.Float64("redline", headroom.DefaultRedLine,
 			"headroom red-line: slack below this counts a server in cubefit_headroom_below_redline")
 		walPath = fs.String("wal", "", "write-ahead log path: replay at boot, group-commit admissions before ack")
-		trace   = fs.Bool("trace", true, "trace admission pipeline stages (/debug/pipeline, cubefit_pipeline_* metrics)")
-		spans   = fs.String("spans", "", "stream finished admission spans to this JSONL file (requires tracing)")
+		spans   = fs.String("spans", "", "stream finished admission spans to this JSONL file")
 		sloP99  = fs.Duration("slo-latency-p99", telemetry.DefaultObjective,
 			"admission latency objective: requests at or under it are \"good\" for the burn-rate rules")
 		healthInterval = fs.Duration("health-interval", telemetry.DefaultInterval,
@@ -237,9 +237,6 @@ func newServer(args []string) (*http.Server, options, error) {
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, options{}, err
-	}
-	if *spans != "" && !*trace {
-		return nil, options{}, fmt.Errorf("-spans requires tracing; drop -trace=false")
 	}
 	if *sloP99 <= 0 {
 		return nil, options{}, fmt.Errorf("-slo-latency-p99 must be positive, got %v", *sloP99)
@@ -284,9 +281,6 @@ func newServer(args []string) (*http.Server, options, error) {
 		if err != nil {
 			return nil, options{}, err
 		}
-	}
-	if !*trace {
-		ctrlOpts = append(ctrlOpts, api.WithoutSpanTracing())
 	}
 	if *spans != "" {
 		f, ferr := os.Create(*spans)

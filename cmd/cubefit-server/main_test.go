@@ -93,9 +93,6 @@ func TestNewServerFlagErrors(t *testing.T) {
 	if _, _, err := newServer([]string{"-k", "1"}); err == nil {
 		t.Fatal("invalid K accepted")
 	}
-	if _, _, err := newServer([]string{"-trace=false", "-spans", "x.jsonl"}); err == nil {
-		t.Fatal("-spans without tracing accepted")
-	}
 	if _, _, err := newServer([]string{"-slo-latency-p99", "0s"}); err == nil {
 		t.Fatal("zero SLO objective accepted")
 	}
@@ -184,8 +181,9 @@ func TestHealthFlags(t *testing.T) {
 	}
 }
 
-// TestTraceFlag: tracing is on by default (pipeline endpoint + metrics
-// live) and -trace=false removes both.
+// TestTraceFlag: tracing is always on (pipeline endpoint + metrics live),
+// because the queue and stall health rules watch its series, and -trace
+// is no flag: -trace=false is refused rather than switching them off.
 func TestTraceFlag(t *testing.T) {
 	srv, opts, err := newServer(nil)
 	if err != nil {
@@ -200,24 +198,8 @@ func TestTraceFlag(t *testing.T) {
 	if m := getOK(t, ts, "/metrics"); !strings.Contains(m, "cubefit_pipeline_queue_depth") {
 		t.Fatalf("/metrics missing pipeline gauges:\n%s", m)
 	}
-
-	srvOff, optsOff, err := newServer([]string{"-trace=false"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer optsOff.ctrl.Close()
-	tsOff := httptest.NewServer(srvOff.Handler)
-	defer tsOff.Close()
-	resp, err := tsOff.Client().Get(tsOff.URL + "/debug/pipeline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 404 {
-		t.Fatalf("/debug/pipeline with -trace=false: status %d, want 404", resp.StatusCode)
-	}
-	if m := getOK(t, tsOff, "/metrics"); strings.Contains(m, "cubefit_pipeline_") {
-		t.Fatal("-trace=false still exports pipeline metrics")
+	if _, _, err := newServer([]string{"-trace=false"}); err == nil {
+		t.Fatal("-trace=false accepted")
 	}
 }
 

@@ -21,7 +21,9 @@ import (
 // the cluster fills.
 func runHeadroomCurves(out io.Writer, path string, tenants, gamma, k int, mu float64, seed uint64) (err error) {
 	model := workload.DefaultLoadModel()
-	cf, err := core.New(tracedConfig(gamma, k, model))
+	// The prune slack the consolidation sweep derives from the load
+	// model, so the curves place tenants as the Figure 6 experiments do.
+	cf, err := core.New(core.Config{Gamma: gamma, K: k, PruneSlack: model.Load(1) / float64(gamma) * 0.99})
 	if err != nil {
 		return err
 	}

@@ -8,7 +8,7 @@
 //	cubefit-sim [-tenants 50000] [-runs 10] [-k 10] [-gamma 2] [-mu 0.85]
 //	            [-seed 1] [-table1] [-quick] [-workers N]
 //	            [-cpuprofile cpu.out] [-memprofile mem.out]
-//	cubefit-sim -events out.jsonl [-trace out.json] [-tenants N] [-seed S]
+//	cubefit-sim -wal run.wal [-trace out.json] [-tenants N] [-seed S]
 //	cubefit-sim -headroom curves.csv [-tenants N] [-seed S]
 //
 // Without flags it runs the full paper configuration (10 runs × 50,000
@@ -19,11 +19,13 @@
 // results merge in run order. -cpuprofile/-memprofile write pprof profiles
 // of the whole invocation, so future performance work starts from data.
 //
-// With -events (and/or -trace) it instead performs one deterministic
-// uniform(1..15) CubeFit run with the decision flight recorder attached,
-// writing every placement event as JSON lines to the -events file and the
-// final placement snapshot to the -trace file. Replay the log with
-// `cubefit-inspect explain -events out.jsonl [out.json]`.
+// With -wal (and/or -trace) it instead performs one deterministic
+// uniform(1..15) CubeFit run at cubefit-server's configuration, writing
+// its operation log to the -wal file (a new file each run) and the final
+// placement snapshot to the -trace file. The log is the run's only
+// persisted stream: `cubefit-inspect explain -wal run.wal [out.json]` and
+// `cubefit-inspect headroom -wal run.wal` regenerate its decision stream
+// by replaying it.
 //
 // With -headroom it runs CubeFit and RFI over the same arrival sequence
 // with incremental robustness headroom auditors attached and writes the
@@ -33,7 +35,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -42,7 +43,6 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"cubefit/internal/clock"
 	"cubefit/internal/core"
 	"cubefit/internal/costs"
 	"cubefit/internal/obs"
@@ -72,7 +72,7 @@ func run(args []string, out io.Writer) error {
 		table1  = fs.Bool("table1", false, "print only Table I (uniform 1..15 and zipf(3))")
 		quick   = fs.Bool("quick", false, "reduced scale (2000 tenants, 3 runs)")
 		timing  = fs.Bool("timing", false, "also measure placement wall-clock time per algorithm")
-		events  = fs.String("events", "", "traced run: write decision events as JSONL to this file")
+		walPath = fs.String("wal", "", "traced run: write the run's operation log to this file")
 		trc     = fs.String("trace", "", "traced run: write the final placement snapshot to this file")
 		hdroom  = fs.String("headroom", "", "headroom run: write per-arrival CubeFit vs RFI min-slack curves as CSV to this file")
 		workers = fs.Int("workers", 1, "concurrent runs per distribution (results identical for any value)")
@@ -93,11 +93,11 @@ func run(args []string, out io.Writer) error {
 	if *hdroom != "" {
 		return runHeadroomCurves(out, *hdroom, *tenants, *gamma, *k, *mu, *seed)
 	}
-	if *events != "" || *trc != "" {
+	if *walPath != "" || *trc != "" {
 		if *quick {
 			*tenants = 2000
 		}
-		return runTraced(out, *events, *trc, *tenants, *gamma, *k, *seed)
+		return runTraced(out, *walPath, *trc, *tenants, *gamma, *k, *seed)
 	}
 
 	model := workload.DefaultLoadModel()
@@ -255,50 +255,36 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 	}, nil
 }
 
-// tracedConfig is the CubeFit configuration of a traced run: the same
-// prune slack the consolidation sweep derives from the load model, so a
-// traced run places tenants exactly like the Figure 6 experiments (and a
-// fresh core.New(tracedConfig(...)) run on the same tenant sequence
-// reproduces the traced decisions, which the round-trip test exploits).
-func tracedConfig(gamma, k int, model workload.LoadModel) core.Config {
-	return core.Config{
-		Gamma:      gamma,
-		K:          k,
-		PruneSlack: model.Load(1) / float64(gamma) * 0.99,
-	}
-}
-
-// runTraced performs one deterministic uniform(1..15) CubeFit run with
-// the flight recorder attached. eventsPath receives the decision event
-// stream as JSON lines; tracePath (optional) receives the final placement
-// snapshot. Either may be empty.
-func runTraced(out io.Writer, eventsPath, tracePath string, tenants, gamma, k int, seed uint64) (err error) {
+// runTraced performs one deterministic uniform(1..15) CubeFit run at
+// cubefit-server's configuration, so a replay of its log at the server's
+// settings reproduces the run's decision stream event for event. walPath
+// receives the run's operation log; tracePath (optional) receives the
+// final placement snapshot. Either may be empty.
+func runTraced(out io.Writer, walPath, tracePath string, tenants, gamma, k int, seed uint64) (err error) {
 	model := workload.DefaultLoadModel()
-	cf, err := core.New(tracedConfig(gamma, k, model))
+	cf, err := core.New(core.Config{Gamma: gamma, K: k})
 	if err != nil {
 		return err
 	}
 
-	var sink *obs.JSONL
-	if eventsPath != "" {
-		f, err := os.Create(eventsPath)
+	var wal *obs.WAL
+	if walPath != "" {
+		// A new file, not OpenWAL's append: a second run to the same path
+		// must not concatenate two histories.
+		f, err := os.Create(walPath)
 		if err != nil {
 			return err
 		}
-		bw := bufio.NewWriter(f)
+		wal = obs.NewWAL(f)
 		defer func() {
-			// The event stream is the run's durable artifact: a dropped
-			// flush or close error would silently truncate it, so both
-			// join the function result.
-			if ferr := bw.Flush(); err == nil && ferr != nil {
-				err = fmt.Errorf("writing %s: %w", eventsPath, ferr)
-			}
-			if cerr := f.Close(); err == nil && cerr != nil {
-				err = fmt.Errorf("writing %s: %w", eventsPath, cerr)
+			// The log is the run's durable artifact: a failed final
+			// commit or close would silently truncate it, so it joins the
+			// function result.
+			if cerr := wal.Close(); err == nil && cerr != nil {
+				err = fmt.Errorf("writing %s: %w", walPath, cerr)
 			}
 		}()
-		sink = obs.NewJSONL(bw)
-		cf.SetRecorder(obs.Stamp(clock.Real(), sink))
+		cf.SetRecorder(wal)
 	}
 
 	u, err := workload.NewUniform(1, 15)
@@ -322,11 +308,8 @@ func runTraced(out io.Writer, eventsPath, tracePath string, tenants, gamma, k in
 		st.FirstStageTenants, st.RegularTenants, st.TinyTenants, rejected,
 		cf.Placement().NumServers())
 
-	if sink != nil {
-		if err := sink.Err(); err != nil {
-			return fmt.Errorf("writing %s: %w", eventsPath, err)
-		}
-		fmt.Fprintf(out, "  %d events -> %s\n", sink.Count(), eventsPath)
+	if wal != nil {
+		fmt.Fprintf(out, "  %d operations -> %s\n", wal.Count(), walPath)
 	}
 	if tracePath != "" {
 		f, err := os.Create(tracePath)

@@ -11,36 +11,46 @@ import (
 	"cubefit/internal/core"
 	"cubefit/internal/obs"
 	"cubefit/internal/packing"
+	"cubefit/internal/recovery"
 	"cubefit/internal/trace"
 	"cubefit/internal/workload"
 )
 
-// TestTracedRunRoundTrip is the PR's acceptance check: a traced run's
-// JSONL log, replayed offline, must reconstruct for every admitted tenant
-// the exact decision path — the same per-path totals core.Stats reports,
-// and for cube placements the class, counter digits, and slot — and the
-// same replica servers the final snapshot holds.
+// TestTracedRunRoundTrip: a traced run's operation log, replayed through
+// a fresh engine with a recorder attached, must reconstruct for every
+// admitted tenant the exact decision path — the same per-path totals
+// core.Stats reports, and for cube placements the class, counter digits,
+// and slot — and the same replica servers the final snapshot holds.
 func TestTracedRunRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	eventsPath := filepath.Join(dir, "events.jsonl")
+	walPath := filepath.Join(dir, "run.wal")
 	tracePath := filepath.Join(dir, "placement.json")
 
 	const tenants, seed = 600, 21
 	var out bytes.Buffer
 	if err := run([]string{
-		"-events", eventsPath, "-trace", tracePath,
+		"-wal", walPath, "-trace", tracePath,
 		"-tenants", "600", "-seed", "21",
 	}, &out); err != nil {
 		t.Fatalf("traced run: %v\n%s", err, out.String())
 	}
 
-	ef, err := os.Open(eventsPath)
+	wf, err := os.Open(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ef.Close()
-	events, err := obs.ReadJSONL(ef)
+	defer wf.Close()
+	log, torn, err := obs.ReadWAL(wf)
+	if err != nil || torn {
+		t.Fatalf("ReadWAL: torn=%v err=%v", torn, err)
+	}
+	replayed, err := core.New(core.Config{Gamma: 2, K: 10})
 	if err != nil {
+		t.Fatal(err)
+	}
+	var events eventSlice
+	replayed.SetRecorder(&events)
+	if _, err := recovery.Replay(replayed, log, nil); err != nil {
 		t.Fatal(err)
 	}
 	sf, err := os.Open(tracePath)
@@ -56,7 +66,7 @@ func TestTracedRunRoundTrip(t *testing.T) {
 	// Re-run the identical configuration and tenant sequence; its Stats
 	// are the ground truth the log must reproduce.
 	model := workload.DefaultLoadModel()
-	cf, err := core.New(tracedConfig(2, 10, model))
+	cf, err := core.New(core.Config{Gamma: 2, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,17 +140,34 @@ func TestTracedRunRoundTrip(t *testing.T) {
 	}
 }
 
+// eventSlice is a recorder that keeps every decision event.
+type eventSlice []obs.Event
+
+func (s *eventSlice) Record(e obs.Event) { *s = append(*s, e) }
+
 func TestTracedRunOutput(t *testing.T) {
 	dir := t.TempDir()
-	eventsPath := filepath.Join(dir, "ev.jsonl")
+	walPath := filepath.Join(dir, "run.wal")
 	var out bytes.Buffer
-	if err := run([]string{"-events", eventsPath, "-tenants", "50"}, &out); err != nil {
+	if err := run([]string{"-wal", walPath, "-tenants", "50"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "Traced run: 50") {
 		t.Errorf("summary missing: %s", out.String())
 	}
-	if !strings.Contains(out.String(), eventsPath) {
-		t.Errorf("events path not reported: %s", out.String())
+	if !strings.Contains(out.String(), "50 operations -> "+walPath) {
+		t.Errorf("log path not reported: %s", out.String())
+	}
+	// A second run to the same path replaces the log: it holds one
+	// history, not two.
+	if err := run([]string{"-wal", walPath, "-tenants", "50"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(data), "\n"); lines != 51 {
+		t.Fatalf("log after two runs holds %d lines, want the header and 50 records", lines)
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"cubefit/internal/analysis"
 )
 
-// Failclosed guards PR 6's durability contract: the WAL and JSONL sinks
-// fail closed — once a write, flush, or fsync errors, every later
+// Failclosed guards PR 6's durability contract: the WAL and the span and
+// health log sinks fail closed — once a write, flush, or fsync errors, every later
 // admission must be refused — which only works if no error from the sink
 // chain is dropped on the floor. An ignored Close on a WAL is a silent
 // durability hole: the final group commit's error vanishes and the caller
@@ -23,7 +23,7 @@ import (
 // those with //cubefit:vet-allow failclosed -- <why the error is moot>.
 var Failclosed = &analysis.Analyzer{
 	Name: "failclosed",
-	Doc:  "ignored error from Sync/Flush/Close/Write on a WAL/JSONL sink or its underlying handle",
+	Doc:  "ignored error from Sync/Flush/Close/Write on a WAL or log sink or its underlying handle",
 	Run:  runFailclosed,
 }
 

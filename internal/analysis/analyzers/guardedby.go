@@ -20,7 +20,8 @@ import (
 // functions that lock or RLock that mutex on the same receiver. This is
 // the machine-checked form of the api.Controller snapshot-clone
 // discipline from PR 6: `snap` is only touched under `mu`, `closed` only
-// under `sendMu`, and the WAL/JSONL internals only under their own locks.
+// under `sendMu`, and the internals of the WAL and the span and health
+// log sinks only under their own locks.
 //
 // The check is intra-procedural and existence-based, like lockpair: a
 // function that takes the lock anywhere in its body (including in a

@@ -125,9 +125,6 @@ func TestRealTreeGuardedByAnnotationsPresent(t *testing.T) {
 		"cubefit/internal/obs.WAL.synced":        "mu",
 		"cubefit/internal/obs.WAL.err":           "mu",
 		"cubefit/internal/obs.WAL.closed":        "mu",
-		"cubefit/internal/obs.JSONL.enc":         "mu",
-		"cubefit/internal/obs.JSONL.n":           "mu",
-		"cubefit/internal/obs.JSONL.err":         "mu",
 		"cubefit/internal/api.Controller.snap":   "mu",
 		"cubefit/internal/api.Controller.closed": "sendMu",
 	}

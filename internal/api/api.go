@@ -12,13 +12,13 @@
 // waiting jobs into one write-lock acquisition, preserving exact serial
 // order while amortizing lock traffic and snapshot invalidation. The
 // snapshot served by GET /v1/placement is cached between mutations, and
-// exhaustive analyses (drills, repack plans) run on a lock-free clone of
-// it. Fleet-wide reads still stall admissions, though: any mutation drops
-// the cache, and the next reader captures a fresh snapshot under the
-// write lock (trace.Capture took 188 ms at 250k tenants on a 2-vCPU
-// host). A /v1/placement poller every 50 ms raised the slowest admission
-// there from 10.7 ms to 295 ms. ROADMAP.md item 8 takes these reads off
-// the controller lock.
+// exhaustive drills run on a lock-free clone of it. Fleet-wide reads
+// still stall admissions, though: any mutation drops the cache, and the
+// next reader captures a fresh snapshot under the write lock
+// (trace.Capture took 188 ms at 250k tenants on a 2-vCPU host). A
+// /v1/placement poller every 50 ms raised the slowest admission there
+// from 10.7 ms to 295 ms. ROADMAP.md item 8 takes these reads off the
+// controller lock.
 //
 // Durability: with a write-ahead log attached (WithWAL), the log holds one
 // record per admission, rejected admission or departure, and is
@@ -43,8 +43,8 @@
 // (mutatedLocked), to the ring behind GET /debug/events (each event
 // carries its mutation's time) and GET /explain/tenants/{id} (a tenant's
 // decision path with its failover attribution), and to the per-kind event
-// counter and the engine gauges. Admission latency comes from the
-// pipeline spans' place stage. The servers each mutation touched drive an
+// counter; the engine gauges are read from the engine after each
+// mutation. Admission latency comes from the pipeline spans' place stage. The servers each mutation touched drive an
 // incremental robustness headroom auditor (internal/headroom): GET
 // /debug/headroom reports every server's worst-case failover slack and
 // arg-max failure set, GET /debug/headroom/servers/{id} drills one server
@@ -82,7 +82,6 @@ import (
 	"cubefit/internal/metrics"
 	"cubefit/internal/obs"
 	"cubefit/internal/packing"
-	"cubefit/internal/rebalance"
 	"cubefit/internal/telemetry"
 	"cubefit/internal/trace"
 	"cubefit/internal/workload"
@@ -136,20 +135,20 @@ type Controller struct {
 	// gauges and the /debug/headroom routes.
 	auditor   *headroom.Auditor
 	headroomM *headroomMetrics
-	// engineM holds the event-fed engine families of /metrics.
+	// engineM holds the engine families of /metrics.
 	engineM *engineMetrics
 
 	// clk is the time source for pipeline span stamping and for the time
 	// of each mutation's events; WithClock substitutes a fake in tests.
 	clk clock.Clock
 	// tracer stamps every admission with per-stage timestamps and owns the
-	// pipeline histograms, queue gauges, and GET /debug/pipeline state
-	// (nil when tracing is disabled with WithoutSpanTracing).
+	// pipeline histograms, queue gauges, progress counter, and GET
+	// /debug/pipeline state. It is always on: the queue and stall health
+	// rules watch its series.
 	tracer *pipelineTracer
 	// spanSink, when attached, receives every completed span (span JSONL
 	// export for cubefit-inspect latency).
 	spanSink obs.SpanRecorder
-	tracing  bool
 
 	// monitor is the health sampler and rule engine behind /healthz,
 	// /readyz, /debug/health, and /debug/timeline (see health.go). Always
@@ -204,16 +203,9 @@ func WithWAL(w obs.CommitLog) Option {
 // spans (typically obs.SpanJSONL for offline analysis with
 // `cubefit-inspect latency`). The sink receives every span after the
 // in-memory window and the stage histograms; it must be safe for
-// concurrent use. It is ignored when tracing is disabled.
+// concurrent use.
 func WithSpanSink(s obs.SpanRecorder) Option {
 	return func(c *Controller) { c.spanSink = s }
-}
-
-// WithoutSpanTracing disables admission pipeline span tracing (on by
-// default): no per-stage histograms, no GET /debug/pipeline (404), no
-// span sink. The end-to-end HTTP latency histograms remain.
-func WithoutSpanTracing() Option {
-	return func(c *Controller) { c.tracing = false }
 }
 
 // WithClock substitutes the controller's time source for span stamping
@@ -239,7 +231,7 @@ func NewController(alg packing.Algorithm, model workload.LoadModel, opts ...Opti
 	}
 	c := &Controller{
 		alg: alg, model: model, registry: metrics.NewRegistry(),
-		clk: clock.Real(), tracing: true,
+		clk:        clock.Real(),
 		queue:      make(chan *admitJob, admitQueueDepth),
 		placerDone: make(chan struct{}),
 	}
@@ -247,9 +239,7 @@ func NewController(alg packing.Algorithm, model workload.LoadModel, opts ...Opti
 		opt(c)
 	}
 	c.httpM = metrics.NewHTTPMetrics(c.registry)
-	if c.tracing {
-		c.tracer = newPipelineTracer(c.registry, c.clk, c.spanSink)
-	}
+	c.tracer = newPipelineTracer(c.registry, c.clk, c.spanSink)
 	c.admissions = c.registry.NewCounterVec("cubefit_admissions_total",
 		"Tenant admissions by outcome path.", "outcome")
 	if ao, ok := alg.(admissionObservable); ok {
@@ -275,7 +265,7 @@ func NewController(alg packing.Algorithm, model workload.LoadModel, opts ...Opti
 	c.ring = obs.NewRing[obs.Event](eventRingCapacity)
 	c.auditor = headroom.New(alg.Placement(), 0)
 	c.headroomM = newHeadroomMetrics(c.registry)
-	c.engineM = newEngineMetrics(c.registry)
+	c.engineM = newEngineMetrics(c.registry, alg)
 	// The recorder is engine state: attach it under the lock that guards
 	// every engine call.
 	c.mu.Lock()
@@ -315,7 +305,6 @@ func (c *Controller) Handler() http.Handler {
 	route("GET /v1/stats", "stats", c.handleStats)
 	route("GET /v1/validate", "validate", c.handleValidate)
 	route("POST /v1/drill", "drill", c.handleDrill)
-	route("POST /v1/repack", "repack", c.handleRepack)
 	route("GET /v1/healthz", "healthz", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -482,26 +471,19 @@ func (c *Controller) handlePlace(w http.ResponseWriter, r *http.Request) {
 	// Single admissions ride the same pipeline as batches: the placer
 	// coalesces concurrent requests into one lock acquisition and one WAL
 	// group commit while preserving exact serial placement order.
-	job := &admitJob{items: []admitItem{{tenant: t}}, done: make(chan struct{})}
-	if c.tracer != nil {
-		sp := obs.AcquireSpan()
-		sp.Tenant = req.ID
-		job.items[0].span = sp
-	}
+	sp := obs.AcquireSpan()
+	sp.Tenant = req.ID
+	job := &admitJob{items: []admitItem{{tenant: t, span: sp}}, done: make(chan struct{})}
 	if !c.enqueue(job) {
-		if sp := job.items[0].span; sp != nil {
-			obs.ReleaseSpan(sp)
-		}
+		obs.ReleaseSpan(sp)
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server shutting down"})
 		return
 	}
 	<-job.done
 	it := &job.items[0]
-	if it.span != nil {
-		it.span.Status = it.status
-		c.tracer.finish(it.span)
-		it.span = nil
-	}
+	it.span.Status = it.status
+	c.tracer.finish(it.span)
+	it.span = nil
 	if it.status != http.StatusCreated {
 		writeJSON(w, it.status, errorResponse{Error: it.err})
 		return
@@ -570,7 +552,8 @@ func (c *Controller) handlePlacement(w http.ResponseWriter, _ *http.Request) {
 //     hosts of removed tenants were marked before the removal);
 //   - the whole batch to the ring, numbered on from its total and
 //     stamped with one time;
-//   - the per-kind counts and the engine gauges to /metrics.
+//   - the per-kind counts to /metrics, whose engine gauges it then sets
+//     from the engine.
 func (c *Controller) mutatedLocked() {
 	c.snap = nil
 	events := c.pending.events
@@ -608,9 +591,9 @@ func (c *Controller) snapshot() *trace.Snapshot {
 }
 
 // clonePlacement rebuilds an independent placement from the snapshot so
-// exhaustive analyses (failure drills, repack planning) run without
-// holding the controller lock: a long computation on a large fleet must
-// not stall admissions behind Go's writer-preferring RWMutex. Taking the
+// exhaustive failure drills run without holding the controller lock: a
+// long computation on a large fleet must not stall admissions behind
+// Go's writer-preferring RWMutex. Taking the
 // snapshot can stall them, though: when a mutation has dropped the cached
 // one, snapshot captures a new one under the write lock, 188 ms at 250k
 // tenants (see ROADMAP.md item 8).
@@ -735,41 +718,6 @@ func (c *Controller) handleDrill(w http.ResponseWriter, r *http.Request) {
 		LostClients:    plan.LostClients,
 		ClientCapacity: workload.MaxClientsPerServer,
 		WorstLoad:      p.MaxPostFailureLoad(plan.Servers),
-	})
-}
-
-// repackResponse reports a maintenance repack plan (the plan is advisory:
-// the controller does not execute migrations).
-type repackResponse struct {
-	BeforeServers int              `json:"beforeServers"`
-	AfterServers  int              `json:"afterServers"`
-	SavedServers  int              `json:"savedServers"`
-	Moves         int              `json:"moves"`
-	MovedLoad     float64          `json:"movedLoad"`
-	Migrations    []rebalance.Move `json:"migrations,omitempty"`
-}
-
-func (c *Controller) handleRepack(w http.ResponseWriter, _ *http.Request) {
-	// Like drills, repack planning runs on a lock-free clone: the offline
-	// FFD pass is far too slow to sit inside the read lock on a large
-	// fleet.
-	p, err := c.clonePlacement()
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		return
-	}
-	_, plan, err := rebalance.Repack(p)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, repackResponse{
-		BeforeServers: plan.BeforeServers,
-		AfterServers:  plan.AfterServers,
-		SavedServers:  plan.BeforeServers - plan.AfterServers,
-		Moves:         len(plan.Moves),
-		MovedLoad:     plan.MovedLoad,
-		Migrations:    plan.Moves,
 	})
 }
 

@@ -461,38 +461,3 @@ func TestConcurrentRequests(t *testing.T) {
 		t.Fatalf("post-concurrency validate failed: %d %+v", code, out)
 	}
 }
-
-func TestRepackEndpoint(t *testing.T) {
-	srv := newServer(t)
-	for i := 1; i <= 40; i++ {
-		if code := doJSON(t, "POST", srv.URL+"/v1/tenants",
-			map[string]any{"id": i, "clients": 4 + i%8}, nil); code != http.StatusCreated {
-			t.Fatal("place failed")
-		}
-	}
-	// Churn half the tenants to fragment the placement.
-	for i := 1; i <= 40; i += 2 {
-		if code := doJSON(t, "DELETE", fmt.Sprintf("%s/v1/tenants/%d", srv.URL, i), nil, nil); code != http.StatusNoContent {
-			t.Fatal("delete failed")
-		}
-	}
-	var out struct {
-		BeforeServers int     `json:"beforeServers"`
-		AfterServers  int     `json:"afterServers"`
-		SavedServers  int     `json:"savedServers"`
-		Moves         int     `json:"moves"`
-		MovedLoad     float64 `json:"movedLoad"`
-	}
-	if code := doJSON(t, "POST", srv.URL+"/v1/repack", nil, &out); code != 200 {
-		t.Fatalf("repack status %d", code)
-	}
-	if out.BeforeServers == 0 {
-		t.Fatalf("repack reported empty placement: %+v", out)
-	}
-	if out.SavedServers != out.BeforeServers-out.AfterServers {
-		t.Fatalf("inconsistent repack response: %+v", out)
-	}
-	if out.Moves > 0 && out.MovedLoad <= 0 {
-		t.Fatalf("moves without load: %+v", out)
-	}
-}

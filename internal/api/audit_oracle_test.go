@@ -76,7 +76,7 @@ func walController(t *testing.T, sw *syncSwitch) (*Controller, *workload.ClientS
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewController(cf, workload.DefaultLoadModel(), WithWAL(obs.NewWAL(sw)), WithoutSpanTracing())
+	c, err := NewController(cf, workload.DefaultLoadModel(), WithWAL(obs.NewWAL(sw)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestAuditMatchesExhaustiveAfterEveryMutation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := NewController(eng, workload.DefaultLoadModel(), WithoutSpanTracing())
+		c, err := NewController(eng, workload.DefaultLoadModel())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,9 +15,9 @@ const placerFleet = 100000
 // BenchmarkPlacerAdmit times the placer's commit path per admission: jobs
 // of 64 tenants go through placeJobs — engine placement with the decision
 // recorder attached, the events' delivery, the headroom re-audit and the
-// log's group commit — on a fleet grown to 100k tenants before the timer
-// starts, with the log on a discarding writer and span tracing off. An op
-// is one admission. The timed admissions grow the fleet, so compare runs
+// log's group commit, stamped by the pipeline tracer as production runs
+// it — on a fleet grown to 100k tenants before the timer starts, with the
+// log on a discarding writer. An op is one admission. The timed admissions grow the fleet, so compare runs
 // at the same fixed -benchtime count.
 func BenchmarkPlacerAdmit(b *testing.B) {
 	c, src := benchFleet(b)
@@ -57,9 +57,9 @@ func BenchmarkHealthTick(b *testing.B) {
 }
 
 // benchFleet grows a CubeFit fleet to placerFleet uniform(1..15)-client
-// tenants and serves it from a controller whose log discards its bytes,
-// with span tracing off. It returns the controller and the tenant source,
-// positioned after the fleet.
+// tenants and serves it from a controller whose log discards its bytes.
+// It returns the controller and the tenant source, positioned after the
+// fleet.
 func benchFleet(b *testing.B) (*Controller, *workload.ClientSource) {
 	b.Helper()
 	cf, err := core.New(core.DefaultConfig())
@@ -80,7 +80,7 @@ func benchFleet(b *testing.B) (*Controller, *workload.ClientSource) {
 		}
 	}
 	c, err := NewController(cf, workload.DefaultLoadModel(),
-		WithWAL(obs.NewWAL(io.Discard)), WithoutSpanTracing())
+		WithWAL(obs.NewWAL(io.Discard)))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,12 +3,15 @@ package api
 import (
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
 	"cubefit/internal/baseline"
+	"cubefit/internal/core"
 	"cubefit/internal/obs"
+	"cubefit/internal/packing"
 	"cubefit/internal/workload"
 )
 
@@ -135,12 +138,12 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
-// TestRecorderFeedsEngineMetrics checks the event-fed engine families on
-// /metrics against the engine and the complete event stream: the
-// per-kind counter against the ring's events by kind, servers opened and
-// active mature bins against the engine, and each cube cursor against the
-// counter of its cube's last advance. The attempt-to-admit latency family
-// is gone: the span's place stage times admissions.
+// TestRecorderFeedsEngineMetrics checks the engine families on /metrics
+// against the engine and the complete event stream: the per-kind counter
+// against the ring's events by kind, servers opened and active mature
+// bins against the engine. The attempt-to-admit latency family is gone,
+// because the span's place stage times admissions, and so is the cube
+// cursor family, which had no series for a cube until it next advanced.
 func TestRecorderFeedsEngineMetrics(t *testing.T) {
 	srv, cf, ctrl := newEngineServer(t)
 	for b := 0; b < 8; b++ {
@@ -168,9 +171,6 @@ func TestRecorderFeedsEngineMetrics(t *testing.T) {
 	}
 	for _, e := range events {
 		want[`cubefit_engine_events_total{kind="`+string(e.Kind)+`"}`]++
-		if e.Kind == obs.KindCubeAdvance {
-			want[`cubefit_cube_cursor{class="`+strconv.Itoa(e.Class)+`",tiny="`+strconv.FormatBool(e.Tiny)+`"}`] = float64(e.Counter)
-		}
 	}
 	for _, kind := range []obs.Kind{obs.KindAttempt, obs.KindAdmit, obs.KindDepart, obs.KindBinOpen, obs.KindBinMature, obs.KindCubeAdvance} {
 		if want[`cubefit_engine_events_total{kind="`+string(kind)+`"}`] == 0 {
@@ -184,8 +184,8 @@ func TestRecorderFeedsEngineMetrics(t *testing.T) {
 		}
 	}
 	for name := range got {
-		if strings.HasPrefix(name, "cubefit_place_duration_seconds") {
-			t.Errorf("removed latency family still exported: %s", name)
+		if strings.HasPrefix(name, "cubefit_place_duration_seconds") || strings.HasPrefix(name, "cubefit_cube_cursor") {
+			t.Errorf("removed family still exported: %s", name)
 		}
 	}
 }
@@ -238,4 +238,66 @@ func TestExplainOnBaselineEngine(t *testing.T) {
 	if !exp.Traced || exp.Decision == nil || exp.Decision.Engine != "first-fit" {
 		t.Errorf("baseline explain = %+v", exp)
 	}
+}
+
+// TestEngineGaugesTrueAfterBoot boots a controller on a recovered engine
+// that already holds thousands of tenants, as `cubefit-server -wal` does
+// (bootFromLog): the servers-opened and active-mature-bins gauges equal
+// the engine from the first scrape, and again after more admissions and
+// departures.
+func TestEngineGaugesTrueAfterBoot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.jsonl")
+	wal, err := obs.OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := core.New(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.SetRecorder(wal)
+	dist, err := workload.NewUniform(1, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := workload.NewClientSource(workload.DefaultLoadModel(), dist, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := packing.PlaceAll(live, workload.Take(src, 5000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, cf, _ := bootFromLog(t, path)
+	check := func(when string) {
+		t.Helper()
+		got := scrapeSamples(t, srv.URL)
+		for name, want := range map[string]float64{
+			"cubefit_servers_opened":     float64(cf.Placement().NumServers()),
+			"cubefit_active_mature_bins": float64(cf.NumActiveMatureBins()),
+		} {
+			if got[name] != want {
+				t.Errorf("%s: %s = %v, engine %v", when, name, got[name], want)
+			}
+		}
+	}
+	check("after boot")
+	for b := 0; b < 8; b++ {
+		items := make([]map[string]any, 64)
+		for i := range items {
+			items[i] = map[string]any{"id": 10000 + b*64 + i, "clients": 1 + (b*64+i)%15}
+		}
+		if code := doJSON(t, "POST", srv.URL+"/v1/tenants:batch", map[string]any{"tenants": items}, nil); code != http.StatusOK {
+			t.Fatalf("batch %d: status %d", b, code)
+		}
+	}
+	for id := 0; id < 5000; id += 25 {
+		if code := doDelete(t, srv.URL+"/v1/tenants/"+strconv.Itoa(id)); code != http.StatusNoContent {
+			t.Fatalf("delete %d: status %d", id, code)
+		}
+	}
+	check("after admissions and departures")
 }

@@ -47,7 +47,7 @@ func FuzzPlaceBatchRequest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	ctrl, err := NewController(cf, workload.DefaultLoadModel(), WithoutSpanTracing())
+	ctrl, err := NewController(cf, workload.DefaultLoadModel())
 	if err != nil {
 		f.Fatal(err)
 	}

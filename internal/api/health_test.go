@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -341,6 +342,126 @@ func TestReadyzFlipsOnPlacerStall(t *testing.T) {
 	tick()
 	tick() // RecoverTicks=2 with an empty queue
 	wantReady(t, srv.URL, 200)
+}
+
+// gatedSyncer is a log writer whose every Sync parks until the test
+// releases it, announcing itself on entered first, so a test knows when
+// the placer sits inside a group commit. Once open is closed, Sync no
+// longer parks, so a failed test still drains the controller.
+type gatedSyncer struct {
+	entered chan struct{}
+	release chan struct{}
+	open    chan struct{}
+}
+
+func newGatedSyncer() *gatedSyncer {
+	return &gatedSyncer{entered: make(chan struct{}), release: make(chan struct{}), open: make(chan struct{})}
+}
+
+func (g *gatedSyncer) Write(p []byte) (int, error) { return len(p), nil }
+
+func (g *gatedSyncer) Sync() error {
+	select {
+	case g.entered <- struct{}{}:
+		select {
+		case <-g.release:
+		case <-g.open:
+		}
+	case <-g.open:
+	}
+	return nil
+}
+
+// TestDepartureBurstIsProgress drives a departure-only burst: at every
+// health tick departures wait on the queue, and between ticks the placer
+// resolves a group of them. The stall watchdog must read that as
+// progress and stay healthy across more than two stall windows;
+// departures carry no place span, so a progress series of placements
+// alone sees none.
+func TestDepartureBurstIsProgress(t *testing.T) {
+	cfg := healthTestConfig()
+	cfg.Stall = telemetry.StallConfig{
+		DepthSeries:    telemetry.SeriesQueueDepth,
+		ProgressSeries: telemetry.SeriesPlaceProgress,
+		Window:         2 * time.Second,
+	}
+	fake := clock.NewFake(time.Unix(0, 0))
+	gs := newGatedSyncer()
+	_, _, ctrl := newEngineServer(t, WithWAL(obs.NewWAL(gs)), WithClock(fake), WithHealthConfig(cfg))
+	// Registered after the controller's cleanup, so it runs first.
+	t.Cleanup(func() { close(gs.open) })
+
+	// Admit the fleet in one job; its commit passes the gate.
+	const tenants = 40
+	fleet := &admitJob{items: make([]admitItem, tenants), done: make(chan struct{})}
+	for i := range fleet.items {
+		fleet.items[i].tenant = packing.Tenant{ID: packing.TenantID(i), Load: 0.05}
+	}
+	if !ctrl.enqueue(fleet) {
+		t.Fatal("fleet enqueue refused")
+	}
+	<-gs.entered
+	gs.release <- struct{}{}
+	<-fleet.done
+
+	next := 0
+	depart := func() *admitJob {
+		job := &admitJob{
+			items: []admitItem{{tenant: packing.Tenant{ID: packing.TenantID(next)}, depart: true}},
+			done:  make(chan struct{}),
+		}
+		next++
+		if !ctrl.enqueue(job) {
+			t.Fatalf("departure %d refused", next-1)
+		}
+		return job
+	}
+	// The first departure parks the placer inside its commit.
+	inFlight := []*admitJob{depart()}
+	<-gs.entered
+	resolved := 0
+	for tick := 1; tick <= 9; tick++ {
+		// Three departures queue behind the parked commit: the depth
+		// gauge, set at each enqueue before the send, reads 2.
+		queued := []*admitJob{depart(), depart(), depart()}
+		fake.Advance(time.Second)
+		ctrl.HealthTick()
+		if st := ctrl.Health().Status(); st.State != telemetry.Healthy {
+			t.Fatalf("tick %d (%d departures resolved): state %v, findings %+v", tick, resolved, st.State, st.Findings)
+		}
+		// Release the parked commit: its group resolves, and the placer
+		// takes the queued departures and parks on their commit.
+		gs.release <- struct{}{}
+		for _, job := range inFlight {
+			<-job.done
+			if s := job.items[0].status; s != http.StatusNoContent {
+				t.Fatalf("departure status %d (%s)", s, job.items[0].err)
+			}
+			resolved++
+		}
+		<-gs.entered
+		inFlight = queued
+	}
+	// A hung commit with departures queued behind it is a stall: once the
+	// last resolved group leaves the window, no job resolves, and the
+	// watchdog walks degraded→critical.
+	queued := append(inFlight, depart(), depart(), depart())
+	for tick, want := range []telemetry.State{telemetry.Healthy, telemetry.Healthy, telemetry.Degraded, telemetry.Degraded, telemetry.Critical} {
+		fake.Advance(time.Second)
+		ctrl.HealthTick()
+		if st := ctrl.Health().Status(); st.State != want {
+			t.Fatalf("hung commit, tick %d: state %v, want %v (findings %+v)", tick+1, st.State, want, st.Findings)
+		}
+	}
+	if f := ctrl.Health().Status().Findings; len(f) != 1 || f[0].Rule != "placer-stall" || !strings.Contains(f[0].Evidence, "2 jobs queued") {
+		t.Fatalf("findings = %+v", f)
+	}
+	gs.release <- struct{}{}
+	<-gs.entered
+	gs.release <- struct{}{}
+	for _, job := range queued {
+		<-job.done
+	}
 }
 
 // TestServerHealthReplayParity runs a controller with a health log

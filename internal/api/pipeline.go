@@ -46,9 +46,9 @@ type admitItem struct {
 	status  int
 	err     string
 	servers []int
-	// span carries the item's pipeline trace (nil when tracing is
-	// disabled). The pipeline stamps it in place; the handler that owns
-	// the job completes and releases it after done closes.
+	// span carries an admission's pipeline trace (nil for a departure).
+	// The pipeline stamps it in place; the handler that owns the job
+	// completes and releases it after done closes.
 	span *obs.Span
 }
 
@@ -67,11 +67,9 @@ func (c *Controller) enqueue(job *admitJob) bool {
 	if c.closed {
 		return false
 	}
-	if c.tracer != nil {
-		// Stamped before the send so the queue stage includes backpressure
-		// blocking on a full channel.
-		c.tracer.enqueued(job, len(c.queue))
-	}
+	// Stamped before the send so the queue stage includes backpressure
+	// blocking on a full channel.
+	c.tracer.enqueued(job, len(c.queue))
 	c.queue <- job
 	return true
 }
@@ -120,9 +118,7 @@ func (c *Controller) runPlacer() {
 				break coalesce
 			}
 		}
-		if c.tracer != nil {
-			c.tracer.dequeued(jobs, len(c.queue))
-		}
+		c.tracer.dequeued(jobs, len(c.queue))
 		c.placeJobs(jobs)
 		for _, j := range jobs {
 			close(j.done)
@@ -161,7 +157,7 @@ func (c *Controller) admitItemsLocked(jobs []*admitJob) (group int, mutated bool
 				continue
 			}
 			mutated = true // even a failed admission may open servers
-			if tr != nil && it.span != nil {
+			if it.span != nil {
 				it.span.PlaceStartNs = tr.now()
 			}
 			if err := c.alg.Place(it.tenant); err != nil {
@@ -178,7 +174,7 @@ func (c *Controller) admitItemsLocked(jobs []*admitJob) (group int, mutated bool
 				hosts = hosts[:len(hosts)+len(got)]
 				group++
 			}
-			if tr != nil && it.span != nil {
+			if it.span != nil {
 				it.span.PlaceEndNs = tr.now()
 			}
 		}
@@ -258,8 +254,11 @@ func (c *Controller) rollbackBatch(jobs []*admitJob, msg string) {
 // applied, so the jobs resolve as they would one at a time. A group that
 // logged anything is committed before its departures are applied; a
 // failed commit acks none of it, and the log's error is sticky, so all
-// later mutations fail closed until the operator intervenes.
+// later mutations fail closed until the operator intervenes. Each
+// resolved group advances the tracer's progress counter by its jobs,
+// whatever their outcome, which is what the stall watchdog watches.
 func (c *Controller) placeJobs(jobs []*admitJob) {
+	tr := c.tracer
 	for len(jobs) > 0 {
 		n := 1
 		for n < len(jobs) && (!jobs[n-1].items[0].depart || jobs[n].items[0].depart) {
@@ -271,27 +270,22 @@ func (c *Controller) placeJobs(jobs []*admitJob) {
 		admitted, mutated := c.admitItemsLocked(group)
 		departs := c.stageDeparturesLocked(group)
 		c.mu.Unlock()
+		var err error
 		if c.wal != nil && (mutated || departs) {
-			tr, start := c.tracer, int64(0)
-			if tr != nil {
-				start = tr.now()
-			}
-			err := c.wal.Sync()
-			if tr != nil {
-				id, end := tr.nextCommit(), tr.now()
-				stampCommit(group, start, end, id, admitted)
-				tr.commitDone(id, admitted, end-start, end, err != nil)
-			}
-			if err != nil {
-				c.rollbackBatch(group, "write-ahead log sync failed: "+err.Error())
-				continue
-			}
+			start := tr.now()
+			err = c.wal.Sync()
+			id, end := tr.nextCommit(), tr.now()
+			stampCommit(group, start, end, id, admitted)
+			tr.commitDone(id, admitted, end-start, end, err != nil)
 		}
-		if departs {
+		if err != nil {
+			c.rollbackBatch(group, "write-ahead log sync failed: "+err.Error())
+		} else if departs {
 			c.mu.Lock()
 			c.removeItemsLocked(group, http.StatusNoContent)
 			c.mu.Unlock()
 		}
+		tr.resolved.Add(uint64(n))
 	}
 }
 
@@ -368,12 +362,9 @@ func (c *Controller) handlePlaceBatch(w http.ResponseWriter, r *http.Request) {
 	job := &admitJob{items: make([]admitItem, len(req.Tenants)), done: make(chan struct{})}
 	for i, pr := range req.Tenants {
 		it := &job.items[i]
-		if c.tracer != nil {
-			sp := obs.AcquireSpan()
-			sp.Tenant = pr.ID
-			sp.Batch = true
-			it.span = sp
-		}
+		it.span = obs.AcquireSpan()
+		it.span.Tenant = pr.ID
+		it.span.Batch = true
 		if err := pr.validate(); err != nil {
 			it.status = http.StatusBadRequest
 			it.err = err.Error()
@@ -389,9 +380,7 @@ func (c *Controller) handlePlaceBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if !c.enqueue(job) {
 		for i := range job.items {
-			if sp := job.items[i].span; sp != nil {
-				obs.ReleaseSpan(sp)
-			}
+			obs.ReleaseSpan(job.items[i].span)
 		}
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server shutting down"})
 		return
@@ -400,11 +389,9 @@ func (c *Controller) handlePlaceBatch(w http.ResponseWriter, r *http.Request) {
 	resp := batchResponse{Results: make([]batchResult, len(job.items))}
 	for i := range job.items {
 		it := &job.items[i]
-		if it.span != nil {
-			it.span.Status = it.status
-			c.tracer.finish(it.span)
-			it.span = nil
-		}
+		it.span.Status = it.status
+		c.tracer.finish(it.span)
+		it.span = nil
 		res := batchResult{ID: int(it.tenant.ID), Status: it.status, Error: it.err}
 		if it.status == http.StatusBadRequest {
 			// The id may not have parsed meaningfully; echo the request's.

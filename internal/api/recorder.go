@@ -1,10 +1,9 @@
 package api
 
 import (
-	"strconv"
-
 	"cubefit/internal/metrics"
 	"cubefit/internal/obs"
+	"cubefit/internal/packing"
 )
 
 // eventBuffer is the engine's decision recorder: Record appends each event
@@ -38,69 +37,61 @@ func (b *eventBuffer) reset() {
 	b.events = b.events[:0]
 }
 
-// engineMetrics are the /metrics families fed by the decision events:
-// events by kind, servers opened, mature bins and cube cursors. observe
-// folds one mutation's events into them under the controller's write
-// lock; the values are atomics, so scrapes read them without it.
+// engineMetrics are the engine families of /metrics: decision events by
+// kind, counted from each mutation's events, and the servers-opened and
+// active-mature-bins gauges, set from the engine's own state at
+// construction and after each mutation, so a controller started on a
+// recovered engine reports it from the first scrape. observe runs under
+// the controller's write lock; the values are atomics, so scrapes read
+// them without it.
 type engineMetrics struct {
+	alg     packing.Algorithm
 	events  *metrics.CounterVec
 	servers *metrics.Gauge
 	mature  *metrics.Gauge
-	cursor  *metrics.GaugeVec
-	// kinds and cursors cache the labelled children, so a delivery
-	// resolves no label after each child's first use.
-	kinds   map[obs.Kind]*metrics.Counter
-	cursors map[cursorKey]*metrics.Gauge
+	// bins is alg's mature-bin count, nil for an engine without one.
+	bins interface{ NumActiveMatureBins() int }
+	// kinds caches the labelled children, so a delivery resolves no label
+	// after each child's first use.
+	kinds map[obs.Kind]*metrics.Counter
 }
 
-// cursorKey labels one cube's cursor gauge.
-type cursorKey struct {
-	class int
-	tiny  bool
-}
-
-func newEngineMetrics(r *metrics.Registry) *engineMetrics {
-	return &engineMetrics{
+func newEngineMetrics(r *metrics.Registry, alg packing.Algorithm) *engineMetrics {
+	m := &engineMetrics{
+		alg: alg,
 		events: r.NewCounterVec("cubefit_engine_events_total",
 			"Placement decision events by kind.", "kind"),
 		servers: r.NewGauge("cubefit_servers_opened",
 			"Servers opened by the engine."),
 		mature: r.NewGauge("cubefit_active_mature_bins",
 			"Mature bins currently eligible for first-stage placement."),
-		cursor: r.NewGaugeVec("cubefit_cube_cursor",
-			"Cube counter position (slots closed since the last wrap) by class.",
-			"class", "tiny"),
-		kinds:   make(map[obs.Kind]*metrics.Counter),
-		cursors: make(map[cursorKey]*metrics.Gauge),
+		kinds: make(map[obs.Kind]*metrics.Counter),
 	}
+	m.bins, _ = alg.(interface{ NumActiveMatureBins() int })
+	m.setGauges()
+	return m
 }
 
-// observe folds one mutation's events into the families. The caller
-// holds the controller's write lock, which also guards the child caches.
+// observe counts one mutation's events by kind and sets the gauges from
+// the engine. The caller holds the controller's write lock, which also
+// guards the child cache.
 func (m *engineMetrics) observe(events []obs.Event) {
 	for i := range events {
-		e := &events[i]
-		kc := m.kinds[e.Kind]
+		kind := events[i].Kind
+		kc := m.kinds[kind]
 		if kc == nil {
-			kc = m.events.With(string(e.Kind))
-			m.kinds[e.Kind] = kc
+			kc = m.events.With(string(kind))
+			m.kinds[kind] = kc
 		}
 		kc.Inc()
-		switch e.Kind {
-		case obs.KindBinOpen:
-			m.servers.Inc()
-		case obs.KindBinMature, obs.KindBinReactivate:
-			m.mature.Inc()
-		case obs.KindBinRetire:
-			m.mature.Dec()
-		case obs.KindCubeAdvance:
-			key := cursorKey{class: e.Class, tiny: e.Tiny}
-			g := m.cursors[key]
-			if g == nil {
-				g = m.cursor.With(strconv.Itoa(e.Class), strconv.FormatBool(e.Tiny))
-				m.cursors[key] = g
-			}
-			g.Set(int64(e.Counter))
-		}
+	}
+	m.setGauges()
+}
+
+// setGauges reads the gauges from the engine.
+func (m *engineMetrics) setGauges() {
+	m.servers.Set(int64(m.alg.Placement().NumServers()))
+	if m.bins != nil {
+		m.mature.Set(int64(m.bins.NumActiveMatureBins()))
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"cubefit/internal/metrics"
 	"cubefit/internal/obs"
 	"cubefit/internal/stats"
+	"cubefit/internal/telemetry"
 )
 
 // Pipeline span tracing: every admission travelling the batched pipeline
@@ -80,9 +81,12 @@ type pipelineTracer struct {
 	stageHist  [len(spanStageNames)]*metrics.Histogram
 	queueDepth *metrics.Gauge
 	oldestWait *metrics.FGauge
-	commits    *metrics.Counter
-	fsyncHist  *metrics.Histogram
-	sizeHist   *metrics.Histogram
+	// resolved counts the jobs the placer resolved, whatever their
+	// outcome: the stall watchdog's progress series.
+	resolved  *metrics.Counter
+	commits   *metrics.Counter
+	fsyncHist *metrics.Histogram
+	sizeHist  *metrics.Histogram
 
 	enqueuedJobs atomic.Uint64
 	dequeuedJobs atomic.Uint64
@@ -113,6 +117,8 @@ func newPipelineTracer(r *metrics.Registry, clk clock.Clock, sink obs.SpanRecord
 			"Admission jobs waiting on the pipeline queue."),
 		oldestWait: r.NewFGauge("cubefit_pipeline_oldest_wait_seconds",
 			"Queue wait of the oldest pending admission job at the last enqueue/dequeue."),
+		resolved: r.NewCounter(telemetry.SeriesPlaceProgress,
+			"Pipeline jobs (admission requests and departures) the placer resolved, whatever their outcome."),
 		commits: r.NewCounter("cubefit_pipeline_commits_total",
 			"WAL group commits performed by the placer."),
 		fsyncHist: r.NewHistogram("cubefit_pipeline_commit_fsync_seconds",
@@ -330,11 +336,6 @@ func stageSummaries(spans []obs.Span) map[string]pipelineStageSummary {
 }
 
 func (c *Controller) handlePipeline(w http.ResponseWriter, r *http.Request) {
-	if c.tracer == nil {
-		writeJSON(w, http.StatusNotFound,
-			errorResponse{Error: "pipeline span tracing is disabled"})
-		return
-	}
 	window, ok := queryNonNegInt(w, r, "spans", pipelineSpanWindow)
 	if !ok {
 		return

@@ -173,20 +173,6 @@ func TestDebugPipelineEndpoint(t *testing.T) {
 	}
 }
 
-func TestDebugPipelineDisabled(t *testing.T) {
-	srv, _, _ := newEngineServer(t, WithoutSpanTracing())
-	if code := doJSON(t, "POST", srv.URL+"/v1/tenants", map[string]any{"id": 1, "load": 0.3}, nil); code != 201 {
-		t.Fatal("untraced admission failed")
-	}
-	if code := doJSON(t, "GET", srv.URL+"/debug/pipeline", nil, nil); code != http.StatusNotFound {
-		t.Fatalf("disabled tracing status %d, want 404", code)
-	}
-	// No pipeline series on /metrics either.
-	if body := string(getBody(t, srv.URL+"/metrics")); strings.Contains(body, "cubefit_pipeline_") {
-		t.Fatal("pipeline metrics registered with tracing disabled")
-	}
-}
-
 // TestDebugQueryParamValidation pins the 400 contract for every debug
 // endpoint's numeric query parameters: negative and non-numeric values are
 // rejected, never silently coerced.

@@ -15,20 +15,22 @@
 //
 // The auditor never rescans the placement. It learns which servers a
 // mutation touched from the decision event stream of internal/obs, in
-// one of two ways. Attached to an engine as its Recorder, it marks on
-// each placement-shaped event the event's server plus the tenant's other
-// hosts, the only servers whose pairwise intersections can have changed.
-// An owner that delivers a mutation's events after the engine call (the
-// api controller) calls MarkPlaced with them instead, and MarkTenant for
-// a tenant it is about to remove. Marked servers wait in a dirty set, and
-// their entries are recomputed lazily, O(changed servers) per mutation,
-// when a reading method drains the queue. Exhaustive is the full-rescan
-// reference implementation the property tests and benchmarks compare
-// against.
+// one of two ways. Attached to an engine as its Recorder (Record), it
+// marks on each placement-shaped event the event's server plus the
+// tenant's other hosts, the only servers whose pairwise intersections can
+// have changed; `cubefit-inspect headroom` attaches it so to an engine
+// replaying an operation log. Only a recorder sees a departing tenant's
+// hosts in time, because the depart event fires before the engine
+// removes the tenant. An owner that delivers a mutation's events after
+// the engine call (the api controller) calls MarkPlaced with them
+// instead, and MarkTenant for a tenant it is about to remove. Marked
+// servers wait in a dirty set, and their entries are recomputed lazily,
+// O(changed servers) per mutation, when a reading method drains the
+// queue. Exhaustive is the full-rescan reference implementation the
+// property tests and benchmarks compare against.
 //
-// The package is deliberately wall-clock free (time enters only through
-// event replay, see replay.go) and uses the shared tolerance constants of
-// internal/packing for every capacity comparison.
+// The package is deliberately wall-clock free and uses the shared
+// tolerance constants of internal/packing for every capacity comparison.
 package headroom
 
 import (

@@ -1,6 +1,7 @@
 package headroom_test
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -8,16 +9,9 @@ import (
 	"cubefit/internal/headroom"
 	"cubefit/internal/obs"
 	"cubefit/internal/packing"
-	"cubefit/internal/rfi"
+	"cubefit/internal/recovery"
 	"cubefit/internal/rng"
 )
-
-// capture is an unbounded obs.Recorder for round-trip tests.
-type capture struct {
-	events []obs.Event
-}
-
-func (c *capture) Record(e obs.Event) { c.events = append(c.events, e) }
 
 // samePlacement asserts two placements audit identically: same servers,
 // levels, reserves, worst sets and aggregates.
@@ -33,17 +27,21 @@ func samePlacement(t *testing.T, got, want *packing.Placement) {
 	}
 }
 
-// TestReplayRoundTripCubeFit replays a CubeFit decision log — admissions,
-// a duplicate rejection, departures — and checks the reconstructed
-// placement audits identically to the live one, with the incremental
-// auditor fed during replay agreeing with the exhaustive reference.
+// TestReplayRoundTripCubeFit writes a CubeFit operation log — admissions,
+// departures, a duplicate rejection and an invalid load — and replays it
+// through a fresh engine with the auditor attached as its recorder, as
+// `cubefit-inspect headroom` does: the replayed placement audits
+// identically to the live one, and the incremental auditor agrees with
+// the exhaustive reference.
 func TestReplayRoundTripCubeFit(t *testing.T) {
-	cf, err := core.New(core.Config{Gamma: 3, K: 6})
+	cfg := core.Config{Gamma: 3, K: 6}
+	cf, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap := &capture{}
-	cf.SetRecorder(cap)
+	var buf bytes.Buffer
+	wal := obs.NewWAL(&buf)
+	cf.SetRecorder(wal)
 
 	r := rng.New(0xD1CE)
 	var live []packing.TenantID
@@ -63,13 +61,28 @@ func TestReplayRoundTripCubeFit(t *testing.T) {
 	}
 	_ = cf.Place(packing.Tenant{ID: live[0], Load: 0.2}) // duplicate: rejected
 	_ = cf.Place(packing.Tenant{ID: 5000, Load: 1.5})    // invalid: rejected
-	if got := obs.InferGamma(cap.events); got != 3 {
-		t.Fatalf("InferGamma = %d, want 3", got)
+	if err := wal.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	events, _, err := obs.ReadWAL(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	var points []headroom.Point
-	p, a, err := headroom.Replay(cap.events, 0, 0, func(pt headroom.Point) {
-		points = append(points, pt)
+	replayed, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := replayed.Placement()
+	a := headroom.New(p, 0)
+	replayed.SetRecorder(a)
+	var mins []headroom.Entry
+	st, err := recovery.Replay(replayed, events, func(n int, _ obs.Op) {
+		if n != len(mins)+1 {
+			t.Fatalf("operation %d after %d samples", n, len(mins))
+		}
+		min, _ := a.Min()
+		mins = append(mins, min)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,85 +91,20 @@ func TestReplayRoundTripCubeFit(t *testing.T) {
 	if rep := a.Report(); !reflect.DeepEqual(rep, headroom.Exhaustive(p, rep.RedLine)) {
 		t.Fatal("replay auditor diverged from exhaustive on final state")
 	}
-
-	closings := 0
-	for _, e := range cap.events {
-		switch e.Kind {
-		case obs.KindAdmit, obs.KindReject, obs.KindDepart:
-			closings++
+	if st.Rejected < 2 || st.Departed == 0 {
+		t.Fatalf("log without departures or both rejections: %+v", st)
+	}
+	if ops := st.Admitted + st.Rejected + st.Departed; len(mins) != ops {
+		t.Fatalf("sampled %d points for %d operations", len(mins), ops)
+	}
+	for i, min := range mins {
+		if min.Slack > 1 {
+			t.Fatalf("point %d out of range: %+v", i, min)
 		}
 	}
-	if len(points) != closings {
-		t.Fatalf("sampled %d points for %d closing events", len(points), closings)
-	}
-	for i, pt := range points {
-		if pt.MinSlack > 1 || pt.Servers < 0 || pt.Tenants < 0 {
-			t.Fatalf("point %d out of range: %+v", i, pt)
-		}
-	}
-	last := points[len(points)-1]
+	last := mins[len(mins)-1]
 	min, _ := a.Min()
-	if last.MinSlack != min.Slack || last.MinServer != min.Server {
+	if last.Slack != min.Slack || last.Server != min.Server {
 		t.Fatalf("final point %+v disagrees with auditor min %+v", last, min)
-	}
-}
-
-// TestReplayRoundTripRFI replays an RFI log — a different engine with a
-// different event mix (plain place events, probes, duplicate rejections) —
-// and checks the reconstruction audits identically to the live placement.
-func TestReplayRoundTripRFI(t *testing.T) {
-	eng, err := rfi.New(rfi.Config{Gamma: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cap := &capture{}
-	eng.SetRecorder(cap)
-
-	r := rng.New(0xACDC)
-	rejected := 0
-	for id := packing.TenantID(1); id <= 60; id++ {
-		load := 0.05 + 0.93*r.Float64()
-		if err := eng.Place(packing.Tenant{ID: id, Load: load, Clients: 8}); err != nil {
-			rejected++
-		}
-		if id%9 == 0 {
-			// Duplicate admissions are rejected without disturbing the
-			// original placement; the replay must preserve it too.
-			if err := eng.Place(packing.Tenant{ID: id, Load: 0.2}); err == nil {
-				t.Fatalf("duplicate admission of %d unexpectedly succeeded", id)
-			}
-			rejected++
-		}
-	}
-	if rejected == 0 {
-		t.Fatal("workload did not provoke any RFI rejection; test is vacuous")
-	}
-
-	p, a, err := headroom.Replay(cap.events, 0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumServers() != eng.Placement().NumServers() {
-		t.Fatalf("replayed %d servers, live has %d", p.NumServers(), eng.Placement().NumServers())
-	}
-	samePlacement(t, p, eng.Placement())
-	if rep := a.Report(); !reflect.DeepEqual(rep, headroom.Exhaustive(p, rep.RedLine)) {
-		t.Fatal("replay auditor diverged from exhaustive on final state")
-	}
-}
-
-// TestReplayExplicitGamma pins the gamma override and error paths.
-func TestReplayExplicitGamma(t *testing.T) {
-	if _, _, err := headroom.Replay(nil, 2, 0, nil); err != nil {
-		t.Fatalf("empty replay: %v", err)
-	}
-	// A place event for an unregistered tenant is a corrupt log.
-	e := obs.NewEvent(obs.KindPlace)
-	e.Tenant = 9
-	e.Replica = 0
-	e.Server = 0
-	e.Size = 0.5
-	if _, _, err := headroom.Replay([]obs.Event{e}, 2, 0, nil); err == nil {
-		t.Fatal("replaying a place for an unknown tenant should fail")
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // DefaultLatencyBuckets spans sub-millisecond in-memory placements up to
-// multi-second repack computations (seconds).
+// multi-second failure drills (seconds).
 var DefaultLatencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,

@@ -11,24 +11,19 @@
 // and the final outcome — enough to reconstruct offline *why* each tenant
 // landed where it did (see Decisions).
 //
-// Events are numbered and timestamped by whoever stores them, never by
+// Events are numbered and timestamped where they are stored, never by
 // the engines, so algorithm code stays wall-clock free and the
-// `wallclock` analyzer needs no new exemptions: the Stamp wrapper stamps
-// each event through the clock seam (internal/clock) as it passes, and
-// RecordBatch numbers a batch on from a ring's total under one time its
-// caller read. The api controller buffers each mutation's
-// events and delivers them once, after the engine call; offline tools
-// (cubefit-sim) attach Stamp in front of a JSONL sink. The package
-// depends only on the standard library and internal/clock /
-// internal/trace.
+// `wallclock` analyzer needs no new exemptions: RecordBatch numbers a
+// batch on from a ring's total under one time its caller read. The api
+// controller buffers each mutation's events and delivers them once,
+// after the engine call. The only stream persisted is the write-ahead
+// operation log (WAL); offline tools regenerate the decision stream by
+// replaying it through a fresh engine with a recorder attached
+// (recovery.Replay). The package depends only on the standard library
+// and internal/trace.
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-
-	"cubefit/internal/clock"
-)
+import "time"
 
 // Kind identifies the type of a decision event.
 type Kind string
@@ -99,8 +94,8 @@ const Unset = -1
 
 // Event is one placement decision. Which fields are meaningful depends on
 // Kind (see the Kind constants); identity fields that do not apply hold
-// Unset. Seq and Time are assigned where the event is stored (Stamp,
-// RecordBatch), not by engines.
+// Unset. Seq and Time are assigned where the event is stored
+// (RecordBatch), not by engines.
 type Event struct {
 	Seq     uint64    `json:"seq"`
 	Time    time.Time `json:"time"`
@@ -138,63 +133,11 @@ func NewEvent(kind Kind) Event {
 	}
 }
 
-// InferGamma returns the replication factor witnessed by an event log:
-// one more than the largest replica index a place-shaped event (place,
-// stage1_place, cube_place) put on a server, or 0 when the log places no
-// replica. A γ-replicated engine addresses replicas 0..γ−1, so any log
-// holding one fully admitted tenant yields γ; returning 0 rather than a
-// guess on a log without placements lets callers tell "no evidence" from
-// a mismatch.
-func InferGamma(events []Event) int {
-	gamma := 0
-	for _, e := range events {
-		switch e.Kind {
-		case KindPlace, KindStage1Place, KindCubePlace:
-			if e.Replica+1 > gamma {
-				gamma = e.Replica + 1
-			}
-		}
-	}
-	return gamma
-}
-
 // Recorder consumes decision events. Implementations must be safe for the
 // synchronization discipline of their caller: engines call Record
 // synchronously from Place/Remove, the API layer under its write lock.
-// The recorders in this package (JSONL, Stamp, WAL) are additionally
-// safe for concurrent use on their own.
+// The WAL in this package is additionally safe for concurrent use on its
+// own.
 type Recorder interface {
 	Record(Event)
-}
-
-// Nop is a Recorder that discards every event, for callers that need a
-// non-nil recorder.
-var Nop Recorder = nopRecorder{}
-
-type nopRecorder struct{}
-
-func (nopRecorder) Record(Event) {}
-
-// Stamp wraps next with sequence and timestamp assignment: every event
-// gets the next value of a shared atomic counter (starting at 1) and the
-// clock's current time before being forwarded. Stamping is the only place
-// the flight recorder reads a clock, which keeps the engines themselves
-// wall-clock free.
-func Stamp(clk clock.Clock, next Recorder) Recorder {
-	if next == nil {
-		next = Nop
-	}
-	return &stamper{clk: clk, next: next}
-}
-
-type stamper struct {
-	clk  clock.Clock
-	next Recorder
-	seq  atomic.Uint64
-}
-
-func (s *stamper) Record(e Event) {
-	e.Seq = s.seq.Add(1)
-	e.Time = s.clk.Now()
-	s.next.Record(e)
 }

@@ -50,7 +50,7 @@ type HealthRecorder interface {
 }
 
 // HealthJSONL is a HealthRecorder writing one JSON object per record
-// (JSON Lines). Like the span and event sinks, the first write error is
+// (JSON Lines). Like the span sink, the first write error is
 // sticky: subsequent records are dropped and the error is reported by
 // Err, so a full disk never corrupts the log mid-line.
 type HealthJSONL struct {

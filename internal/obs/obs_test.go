@@ -1,12 +1,8 @@
 package obs
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
-
-	"cubefit/internal/clock"
 )
 
 // collector is a minimal Recorder that keeps every event.
@@ -25,30 +21,6 @@ func TestNewEventSentinels(t *testing.T) {
 	} {
 		if v != Unset {
 			t.Errorf("%s = %d, want Unset", name, v)
-		}
-	}
-}
-
-// TestInferGamma: only place-shaped events witness γ, and a log that
-// places nothing yields 0 rather than a guess.
-func TestInferGamma(t *testing.T) {
-	event := func(kind Kind, replica int) Event {
-		e := NewEvent(kind)
-		e.Replica = replica
-		return e
-	}
-	for _, tc := range []struct {
-		name   string
-		events []Event
-		want   int
-	}{
-		{"empty", nil, 0},
-		{"no placements", []Event{event(KindAttempt, Unset), event(KindStage1Probe, 2), event(KindReject, Unset)}, 0},
-		{"place", []Event{event(KindPlace, 0), event(KindPlace, 1)}, 2},
-		{"stage1 and cube", []Event{event(KindCubePlace, 0), event(KindStage1Place, 2), event(KindProbe, 5)}, 3},
-	} {
-		if got := InferGamma(tc.events); got != tc.want {
-			t.Errorf("%s: InferGamma = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }
@@ -156,88 +128,6 @@ func TestRingBeforeWrap(t *testing.T) {
 	}
 }
 
-func TestStampAssignsSeqAndTime(t *testing.T) {
-	fake := clock.NewFake(time.Unix(100, 0))
-	var c collector
-	rec := Stamp(fake, &c)
-	rec.Record(NewEvent(KindAttempt))
-	fake.Advance(3 * time.Second)
-	rec.Record(NewEvent(KindAdmit))
-	if len(c.events) != 2 {
-		t.Fatalf("got %d events", len(c.events))
-	}
-	if c.events[0].Seq != 1 || c.events[1].Seq != 2 {
-		t.Errorf("seqs = %d, %d, want 1, 2", c.events[0].Seq, c.events[1].Seq)
-	}
-	if !c.events[0].Time.Equal(time.Unix(100, 0)) {
-		t.Errorf("first time = %v", c.events[0].Time)
-	}
-	if got := c.events[1].Time.Sub(c.events[0].Time); got != 3*time.Second {
-		t.Errorf("time delta = %v, want 3s", got)
-	}
-}
-
-func TestJSONLRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewJSONL(&buf)
-	fake := clock.NewFake(time.Unix(42, 0))
-	rec := Stamp(fake, sink)
-
-	e := NewEvent(KindCubePlace)
-	e.Engine = "cubefit"
-	e.Tenant = 7
-	e.Replica = 1
-	e.Server = 3
-	e.Slot = 2
-	e.Class = 5
-	e.Counter = 9
-	e.Digits = []int{1, 4}
-	e.Size = 0.25
-	rec.Record(e)
-	rec.Record(NewEvent(KindAdmit))
-
-	if err := sink.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if sink.Count() != 2 {
-		t.Errorf("Count = %d, want 2", sink.Count())
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 2 {
-		t.Errorf("wrote %d lines, want 2", lines)
-	}
-
-	back, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 2 {
-		t.Fatalf("read %d events, want 2", len(back))
-	}
-	got := back[0]
-	if got.Kind != KindCubePlace || got.Tenant != 7 || got.Server != 3 ||
-		got.Slot != 2 || got.Class != 5 || got.Counter != 9 {
-		t.Errorf("round-trip mangled event: %+v", got)
-	}
-	if len(got.Digits) != 2 || got.Digits[0] != 1 || got.Digits[1] != 4 {
-		t.Errorf("digits = %v", got.Digits)
-	}
-	if got.Seq != 1 || !got.Time.Equal(time.Unix(42, 0)) {
-		t.Errorf("stamp lost: seq=%d time=%v", got.Seq, got.Time)
-	}
-}
-
-func TestJSONLStickyError(t *testing.T) {
-	sink := NewJSONL(failWriter{})
-	sink.Record(NewEvent(KindAttempt))
-	if sink.Err() == nil {
-		t.Fatal("expected a write error")
-	}
-	sink.Record(NewEvent(KindAdmit))
-	if sink.Count() != 0 {
-		t.Errorf("Count = %d after error, want 0 (failed writes are not counted)", sink.Count())
-	}
-}
-
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errWrite }
@@ -247,9 +137,3 @@ var errWrite = &writeError{}
 type writeError struct{}
 
 func (*writeError) Error() string { return "synthetic write failure" }
-
-func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{\"kind\":\"admit\"}\nnot json\n")); err == nil {
-		t.Error("expected an error on malformed JSONL")
-	}
-}

@@ -8,11 +8,11 @@ import (
 )
 
 // SpanJSONL is a SpanRecorder writing one JSON object per completed span
-// (JSON Lines), the offline companion of the event stream: capture it
-// during a load run and feed it to `cubefit-inspect latency` to decompose
-// end-to-end admission latency into pipeline stages. Like JSONL, the first
-// write error is sticky: subsequent spans are dropped and the error is
-// reported by Err, so a full disk never corrupts the log mid-line.
+// (JSON Lines): capture it during a load run and feed it to
+// `cubefit-inspect latency` to decompose end-to-end admission latency
+// into pipeline stages. The first write error is sticky: subsequent
+// spans are dropped and the error is reported by Err, so a full disk
+// never corrupts the log mid-line.
 type SpanJSONL struct {
 	mu sync.Mutex
 	//cubefit:guarded-by mu

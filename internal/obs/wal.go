@@ -319,8 +319,9 @@ func ReadWAL(r io.Reader) (events []Event, torn bool, err error) {
 // events of one record share its end offset. A record holding an
 // operation the writer refuses (see OpFold) is malformed. The decision
 // stream itself — probes, cube slots, bin lifecycle, stages — is not in
-// the log; it stays available from the controller's event ring (GET
-// /debug/events) and `cubefit-sim -events`.
+// the log: the controller's event ring keeps its recent part (GET
+// /debug/events), and replaying the log through a fresh engine with a
+// recorder attached regenerates all of it (recovery.Replay).
 //
 // The newline is part of the record: a final line without one — even a
 // tail that happens to parse as a complete record, or a header missing

@@ -139,9 +139,6 @@ func TestWALRecordFormat(t *testing.T) {
 	if !reflect.DeepEqual(got, wantEvents) {
 		t.Fatalf("decoded events:\n%v\nwant:\n%v", got, wantEvents)
 	}
-	if g := InferGamma(events); g != 2 {
-		t.Fatalf("InferGamma of the decoded log = %d, want 2", g)
-	}
 }
 
 // TestWALGroupCommit: records are counted as they are staged and become

@@ -16,6 +16,11 @@
 // Rebuild checks each replayed admission against the hosts its record
 // logged and Verify runs the robustness validator, so a server refuses to
 // serve from a log that does not replay to the placement it recorded.
+//
+// Replay is the one replay loop. Rebuild runs it on a fresh engine at
+// boot; cubefit-inspect runs it on an engine with a recorder attached,
+// which regenerates the decision stream the log was written from, so the
+// log is the only stream the repository persists.
 package recovery
 
 import (
@@ -88,21 +93,38 @@ func FromFile(path string, cfg core.Config) (*core.CubeFit, Stats, error) {
 	return cf, st, nil
 }
 
-// Rebuild re-drives a fresh engine through the operations of the event
-// log, folding the events through obs.OpFold and replaying each
-// operation as it closes, and fails at the first event the fold refuses
-// or the first operation the engine replays differently from the log: an
-// admit with other than γ hosts, an admit that replays rejected, a reject
-// that replays admitted, or an admit that lands on other hosts than the
-// ones logged. An admission whose attempt never closed, as a decision
-// stream cut mid-admission ends, is not an operation and is left out.
-// The engine is built without a recorder attached, so recovery does not
-// re-log history; callers attach sinks afterwards.
+// Rebuild re-drives a fresh engine with the given configuration through
+// the operations of the event log (Replay). The engine is built without a
+// recorder attached, so recovery does not re-log history; callers attach
+// sinks afterwards.
 func Rebuild(events []obs.Event, cfg core.Config) (*core.CubeFit, Stats, error) {
 	cf, err := core.New(cfg)
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	st, err := Replay(cf, events, nil)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return cf, st, nil
+}
+
+// Replay re-drives cf, an engine the caller built, through the
+// operations of the event log, folding the events through obs.OpFold and
+// replaying each operation as it closes. It fails at the first event the
+// fold refuses or the first operation the engine replays differently
+// from the log: an admit with other than γ hosts, an admit that replays
+// rejected, a reject that replays admitted, or an admit that lands on
+// other hosts than the ones logged. An admission whose attempt never
+// closed, as a decision stream cut mid-admission ends, is not an
+// operation and is left out.
+//
+// A recorder the caller attached to cf sees the decision stream the
+// engine emitted when the log was written, seq and time aside, because
+// the engine is deterministic. After each operation is applied, fn (when
+// not nil) runs with the operation's 1-based ordinal and the operation,
+// whose Hosts alias the fold's buffer until fn returns.
+func Replay(cf *core.CubeFit, events []obs.Event, fn func(n int, op obs.Op)) (Stats, error) {
 	st := Stats{Events: len(events)}
 	gamma := cf.Config().Gamma
 	var (
@@ -113,43 +135,44 @@ func Rebuild(events []obs.Event, cfg core.Config) (*core.CubeFit, Stats, error) 
 	for i := range events {
 		op, err := fold.Next(&events[i])
 		if err != nil {
-			return nil, Stats{}, fmt.Errorf("recovery: event %d: %w", i+1, err)
+			return Stats{}, fmt.Errorf("recovery: event %d: %w", i+1, err)
 		}
 		if op == nil {
 			continue
 		}
 		n++
 		id := packing.TenantID(op.Tenant)
-		switch op.Kind {
-		case obs.KindDepart:
+		switch {
+		case op.Kind == obs.KindDepart:
 			if err := cf.Remove(id); err != nil {
-				return nil, Stats{}, fmt.Errorf("recovery: op %d: depart tenant %d: %w", n, id, err)
+				return Stats{}, fmt.Errorf("recovery: op %d: depart tenant %d: %w", n, id, err)
 			}
 			st.Departed++
-			continue
-		case obs.KindAdmit:
-			if len(op.Hosts) != gamma {
-				return nil, Stats{}, fmt.Errorf("recovery: op %d: log was written at γ=%d, engine configured with γ=%d", n, len(op.Hosts), gamma)
+		case op.Kind == obs.KindAdmit && len(op.Hosts) != gamma:
+			return Stats{}, fmt.Errorf("recovery: op %d: log was written at γ=%d, engine configured with γ=%d", n, len(op.Hosts), gamma)
+		default:
+			err := cf.Place(packing.Tenant{ID: id, Load: op.Load, Clients: op.Clients})
+			rejected := op.Kind == obs.KindReject
+			switch {
+			case err == nil && rejected:
+				return Stats{}, fmt.Errorf("recovery: op %d: tenant %d was rejected in the log but replays as admitted", n, id)
+			case err != nil && !rejected:
+				return Stats{}, fmt.Errorf("recovery: op %d: tenant %d was admitted in the log but replays rejected: %w", n, id, err)
+			case err != nil:
+				st.Rejected++
+			default:
+				hosts = cf.Placement().TenantHostsInto(id, hosts)
+				if !slices.Equal(hosts, op.Hosts) {
+					return Stats{}, fmt.Errorf("recovery: op %d: tenant %d was logged on servers %v but replays on %v", n, id, op.Hosts, hosts)
+				}
+				st.Admitted++
 			}
 		}
-		err = cf.Place(packing.Tenant{ID: id, Load: op.Load, Clients: op.Clients})
-		rejected := op.Kind == obs.KindReject
-		switch {
-		case err == nil && rejected:
-			return nil, Stats{}, fmt.Errorf("recovery: op %d: tenant %d was rejected in the log but replays as admitted", n, id)
-		case err != nil && !rejected:
-			return nil, Stats{}, fmt.Errorf("recovery: op %d: tenant %d was admitted in the log but replays rejected: %w", n, id, err)
-		case err != nil:
-			st.Rejected++
-			continue
+		if fn != nil {
+			fn(n, *op)
 		}
-		hosts = cf.Placement().TenantHostsInto(id, hosts)
-		if !slices.Equal(hosts, op.Hosts) {
-			return nil, Stats{}, fmt.Errorf("recovery: op %d: tenant %d was logged on servers %v but replays on %v", n, id, op.Hosts, hosts)
-		}
-		st.Admitted++
 	}
-	return cf, st, nil
+	return st, nil
 }
 
 // Verify checks a rebuilt engine before it serves: its placement must

@@ -7,9 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
-	"cubefit/internal/clock"
 	"cubefit/internal/core"
 	"cubefit/internal/obs"
 	"cubefit/internal/packing"
@@ -74,7 +72,7 @@ func TestRebuildReproducesExactState(t *testing.T) {
 	cfg := core.Config{Gamma: 2, K: 10}
 	var buf bytes.Buffer
 	wal := obs.NewWAL(&buf)
-	live := driveEngine(t, cfg, obs.Stamp(clock.NewFake(time.Unix(0, 0)), wal))
+	live := driveEngine(t, cfg, wal)
 	if err := wal.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +119,7 @@ func TestRebuildDropsUncommittedTail(t *testing.T) {
 	cfg := core.Config{Gamma: 2, K: 10}
 	var buf bytes.Buffer
 	wal := obs.NewWAL(&buf)
-	live := driveEngine(t, cfg, obs.Stamp(clock.NewFake(time.Unix(0, 0)), wal))
+	live := driveEngine(t, cfg, wal)
 	if err := wal.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +183,7 @@ func TestFromFileTornTail(t *testing.T) {
 	cfg := core.Config{Gamma: 2, K: 10}
 	var buf bytes.Buffer
 	wal := obs.NewWAL(&buf)
-	driveEngine(t, cfg, obs.Stamp(clock.NewFake(time.Unix(0, 0)), wal))
+	driveEngine(t, cfg, wal)
 	if err := wal.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +213,7 @@ func TestFromFileCommittedBytes(t *testing.T) {
 	cfg := core.Config{Gamma: 2, K: 10}
 	var buf bytes.Buffer
 	wal := obs.NewWAL(&buf)
-	driveEngine(t, cfg, obs.Stamp(clock.NewFake(time.Unix(0, 0)), wal))
+	driveEngine(t, cfg, wal)
 	if err := wal.Sync(); err != nil {
 		t.Fatal(err)
 	}

@@ -49,12 +49,21 @@ func (r ReplayResult) ParityOK() bool {
 // returns the reconstructed verdict timeline. Because the live engine
 // consumes nothing but the sample stream and the configuration embedded
 // in the log, the reconstruction is exact: same transitions at the same
-// tick timestamps with the same firing rules.
+// tick timestamps with the same firing rules. The engine's series rings
+// hold at most as many samples as the log has sample records: a replay
+// never holds more, so no verdict changes, and a config record cannot
+// make it allocate more than the log's size warrants.
 func Replay(recs []obs.HealthRecord) (ReplayResult, error) {
 	var (
-		res ReplayResult
-		eng *engine
+		res     ReplayResult
+		eng     *engine
+		samples int
 	)
+	for _, rec := range recs {
+		if rec.Kind == obs.HealthKindSample {
+			samples++
+		}
+	}
 	for i, rec := range recs {
 		switch rec.Kind {
 		case obs.HealthKindConfig:
@@ -64,6 +73,7 @@ func Replay(recs []obs.HealthRecord) (ReplayResult, error) {
 			}
 			eng = newEngine(cfg)
 			res.Config = eng.cfg
+			eng.store.capacity = min(eng.store.capacity, max(samples, 1))
 		case obs.HealthKindSample:
 			if eng == nil {
 				return res, fmt.Errorf("telemetry: replay record %d: sample before config record", i+1)

@@ -335,7 +335,7 @@ func (e *engine) stallFinding(nowNs int64) (Finding, bool) {
 	return Finding{
 		Rule: "placer-stall", Severity: sev,
 		Value: float64(span) / 1e9, Threshold: threshold,
-		Evidence: fmt.Sprintf("no placement progress for %s with %d admissions queued",
+		Evidence: fmt.Sprintf("no placement progress for %s with %d jobs queued",
 			time.Duration(span).Round(time.Millisecond), int(depth)),
 	}, true
 }

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -174,6 +176,34 @@ func TestReplayRejectsMalformedLogs(t *testing.T) {
 	}
 	if _, err := Replay([]obs.HealthRecord{{Kind: "bogus"}}); err == nil {
 		t.Fatal("unknown record kind replayed without error")
+	}
+}
+
+// TestReplayRingBoundedBySamples: a replay holds no more samples than the
+// log has, so its series rings are sized by the log's sample records, not
+// by the ringCapacity of its config record, which a log can set to
+// anything. A ring of the config's 1<<20 samples would take 16 MiB.
+func TestReplayRingBoundedBySamples(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RingCapacity = 1 << 20
+	raw, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []obs.HealthRecord{
+		{Kind: obs.HealthKindConfig, Config: raw},
+		{Kind: obs.HealthKindSample, TNs: 1e9, Values: map[string]float64{"g": 1}},
+		{Kind: obs.HealthKindSample, TNs: 2e9, Values: map[string]float64{"g": 2}},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Replay(recs)
+	runtime.ReadMemStats(&after)
+	if err != nil || res.Ticks != 2 || res.Config.RingCapacity != 1<<20 {
+		t.Fatalf("replay: %+v, %v", res, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("replaying two samples of one series allocated %d bytes", alloc)
 	}
 }
 

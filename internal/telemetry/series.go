@@ -133,8 +133,8 @@ func (s *seriesStore) ring(key string) *seriesRing {
 }
 
 // lookup returns the series' ring or nil; rules treat an absent series
-// as "nothing to say" rather than an error, so a controller without
-// tracing or a WAL simply never trips the corresponding rules.
+// as "nothing to say" rather than an error, so a controller without a
+// WAL simply never trips the WAL rule.
 func (s *seriesStore) lookup(key string) *seriesRing {
 	if i, ok := s.index[key]; ok {
 		return s.rings[i]

@@ -164,7 +164,7 @@ const (
 	SeriesQueueDepth       = "cubefit_pipeline_queue_depth"
 	SeriesOldestWait       = "cubefit_pipeline_oldest_wait_seconds"
 	SeriesWALStickyError   = "cubefit_wal_sticky_error"
-	SeriesPlaceProgress    = `cubefit_pipeline_stage_duration_seconds{stage="place"}:count`
+	SeriesPlaceProgress    = "cubefit_pipeline_jobs_resolved_total"
 )
 
 // BurnConfig parameterizes the multi-window SLO burn-rate rule.
@@ -227,7 +227,8 @@ type WALConfig struct {
 type StallConfig struct {
 	DepthSeries string `json:"depthSeries"`
 	// ProgressSeries is a cumulative count that advances whenever the
-	// placer completes work (the place-stage histogram count by default).
+	// placer completes work (by default the jobs it resolved, admissions
+	// and departures alike, whatever their outcome).
 	ProgressSeries string `json:"progressSeries"`
 	// Window: no progress for a full Window with the queue continuously
 	// non-empty is degraded; for two Windows, critical.
